@@ -12,31 +12,23 @@ Exit codes: 0 success, 2 input/parse error, 3 domain/precondition error,
 from __future__ import annotations
 
 import argparse
-import csv as _csv
-import io as _stdio
-import json
 import sys
+from dataclasses import asdict
 from pathlib import Path
 from typing import Mapping, Sequence
 
-from .effect_size import (
-    EffectSize,
-    category_label,
-    classify,
-    cohens_d,
-    confidence_interval,
-    standard_error_d,
-)
+from .effect_size import EffectSize, classify, cohens_d, confidence_interval, standard_error_d
 from .errors import ParseError, ReplikitError, UnsupportedFormatError
 from .io import (
     OutputFormat,
+    Percent,
+    Table,
     batch_to_csv,
     boxplot_dict,
     config_dict,
-    fmt4,
-    meta_result_dict,
+    config_lines,
     parse_study_csv,
-    render_table,
+    render,
 )
 from .meta import fixed_effect_pool, forest_model, funnel_data
 from .prediction import ReplicationDesign, confirms, prediction_interval
@@ -135,40 +127,10 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _config_lines(config: Mapping[str, object]) -> str:
-    return "".join(f"# {key} {value}\n" for key, value in config.items())
-
-
-def _kv_text(pairs: Sequence[tuple[str, str]]) -> str:
-    width = max(len(k) for k, _ in pairs)
-    return "\n".join(f"{k.ljust(width)}  {v}" for k, v in pairs) + "\n"
-
-
-def _csv_block(header: Sequence[str], row: Sequence[object]) -> str:
-    buf = _stdio.StringIO()
-    writer = _csv.writer(buf)
-    writer.writerow(header)
-    writer.writerow(row)
-    return buf.getvalue()
-
-
-def _emit(
-    fmt: OutputFormat,
-    config: Mapping[str, object],
-    text: str,
-    csv_text: str,
-    json_payload: Mapping[str, object],
-) -> int:
-    """Route one command's output through the format-specific config echo."""
-    if fmt is OutputFormat.TEXT:
-        sys.stdout.write(_config_lines(config) + text)
-    elif fmt is OutputFormat.CSV:
-        sys.stderr.write(_config_lines(config))
-        sys.stdout.write(csv_text)
-    elif fmt is OutputFormat.JSON:
-        sys.stdout.write(json.dumps({"config": dict(config), **json_payload}, indent=2) + "\n")
-    else:
-        raise UnsupportedFormatError("svg output is only available for plot commands")
+def _emit(fmt: OutputFormat, config: Mapping[str, object], tables: Sequence[Table]) -> int:
+    out, err = render(fmt, config, tables)
+    sys.stderr.write(err)
+    sys.stdout.write(out)
     return 0
 
 
@@ -178,24 +140,18 @@ def _cmd_effect(args: argparse.Namespace) -> int:
     arm2 = SampleSummary(n=args.n2, mean=args.mean2, sd=args.sd2)
     effect = cohens_d(arm1, arm2, hedges=args.hedges)
     ci = confidence_interval(effect, level=args.level)
-    cat = classify(effect.d)
     config = {
         "command": "effect", "seed": args.seed, "level": args.level,
         "n1": args.n1, "mean1": args.mean1, "sd1": args.sd1,
         "n2": args.n2, "mean2": args.mean2, "sd2": args.sd2,
         "hedges": args.hedges,
     }
-    values = {
-        "d": effect.d, "se": effect.se,
-        "ci_lower": ci.lower, "ci_upper": ci.upper,
-    }
-    text = _kv_text(
-        [(k, fmt4(v)) for k, v in values.items()] + [("category", category_label(cat))]
-    )
-    csv_text = _csv_block(
-        list(values) + ["category"], [repr(v) for v in values.values()] + [cat.value]
-    )
-    return _emit(fmt, config, text, csv_text, {**values, "category": cat.value})
+    rows = [
+        ("d", effect.d), ("se", effect.se),
+        ("ci_lower", ci.lower), ("ci_upper", ci.upper),
+        ("category", classify(effect.d)),
+    ]
+    return _emit(fmt, config, [Table(rows)])
 
 
 def _true_effect(text: str) -> float:
@@ -232,33 +188,16 @@ def _cmd_simulate(args: argparse.Namespace) -> int:
 
     echo = dict(config_dict(batch))
     echo["workers"] = args.workers
-    box_row = boxplot_dict(box)
-    text = (
-        render_table(categories, OutputFormat.TEXT)
-        + "\n"
-        + render_table(signs, OutputFormat.TEXT)
-        + "\n"
-        + _kv_text(
-            [("scenario", label)]
-            + [(k, fmt4(v) if isinstance(v, float) else str(v)) for k, v in box_row.items()]
-        )
-    )
-    csv_text = (
-        render_table(categories, OutputFormat.CSV)
-        + "\n"
-        + render_table(signs, OutputFormat.CSV)
-        + "\n"
-        + _csv_block(
-            ["scenario"] + list(box_row),
-            [label] + [repr(v) if isinstance(v, float) else v for v in box_row.values()],
-        )
-    )
-    payload = {
-        "categories": {cat.value: p for cat, p in categories.items()},
-        "sign_agreement": {"mm": signs.mm, "mp": signs.mp, "pm": signs.pm, "pp": signs.pp},
-        "boxplot": {label: box_row},
-    }
-    return _emit(fmt, echo, text, csv_text, payload)
+    tables = [
+        Table(
+            [(cat, Percent(p)) for cat, p in categories.items()],
+            title=("category", "proportion"),
+            json_path=("categories",),
+        ),
+        Table(list(asdict(signs).items()), title=("quadrant", "count"), json_path=("sign_agreement",)),
+        Table(list(boxplot_dict(box).items()), json_path=("boxplot",), name=("scenario", label)),
+    ]
+    return _emit(fmt, echo, tables)
 
 
 def _cmd_pi(args: argparse.Namespace) -> int:
@@ -274,20 +213,10 @@ def _cmd_pi(args: argparse.Namespace) -> int:
         "d": args.d, "se": se, "n1": args.n1, "n2": args.n2,
         "rep_n1": args.rep_n1, "rep_n2": args.rep_n2,
     }
-    values: dict[str, object] = {"pi_lower": interval.lower, "pi_upper": interval.upper}
-    pairs = [(k, fmt4(v)) for k, v in values.items()]
-    header, row = list(values), [repr(v) for v in values.values()]
-    payload = dict(values)
+    rows: list[tuple[str, object]] = [("pi_lower", interval.lower), ("pi_upper", interval.upper)]
     if args.check is not None:
-        confirmed = confirms(interval, args.check)
-        values["d_rep"] = args.check
-        pairs.append(("d_rep", fmt4(args.check)))
-        pairs.append(("confirms", "Y" if confirmed else "N"))
-        header += ["d_rep", "confirms"]
-        row += [repr(args.check), "Y" if confirmed else "N"]
-        payload["d_rep"] = args.check
-        payload["confirms"] = confirmed
-    return _emit(fmt, config, _kv_text(pairs), _csv_block(header, row), payload)
+        rows += [("d_rep", args.check), ("confirms", confirms(interval, args.check))]
+    return _emit(fmt, config, [Table(rows)])
 
 
 def _read_studies(path: str):
@@ -298,30 +227,33 @@ def _read_studies(path: str):
     return parse_study_csv(content)
 
 
+def _study_config(args: argparse.Namespace, studies: Sequence[object]) -> dict[str, object]:
+    return {
+        "command": args.command, "seed": args.seed, "level": args.level,
+        "path": args.path, "studies": len(studies),
+    }
+
+
 def _cmd_meta(args: argparse.Namespace) -> int:
     fmt = OutputFormat(args.format)
     studies = _read_studies(args.path)
     result = fixed_effect_pool(studies, level=args.level)
-    config = {
-        "command": "meta", "seed": args.seed, "level": args.level,
-        "path": args.path, "studies": len(studies),
-    }
     if fmt is OutputFormat.SVG:
         raise UnsupportedFormatError("meta renders tables; use forest or funnel for svg")
-    return _emit(
-        fmt,
-        config,
-        render_table(result, OutputFormat.TEXT),
-        render_table(result, OutputFormat.CSV),
-        meta_result_dict(result),
-    )
+    rows = [
+        ("pooled_d", result.pooled_d), ("pooled_se", result.pooled_se),
+        ("ci_lower", result.ci.lower), ("ci_upper", result.ci.upper),
+        ("q", result.q_statistic), ("i_squared", result.i_squared),
+        ("weights", result.weights),
+    ]
+    return _emit(fmt, _study_config(args, studies), [Table(rows)])
 
 
-def _render_plot(args: argparse.Namespace, svg_text: str, config: Mapping[str, object]) -> int:
+def _render_plot(args: argparse.Namespace, svg_text: str, studies: Sequence[object]) -> int:
     fmt = OutputFormat(args.format)
     if fmt is not OutputFormat.SVG:
         raise UnsupportedFormatError(f"{args.command} renders svg only; got --format {fmt.value}")
-    sys.stderr.write(_config_lines(config))
+    sys.stderr.write(config_lines(_study_config(args, studies)))
     if args.output:
         Path(args.output).write_text(svg_text, encoding="utf-8")
     else:
@@ -332,22 +264,12 @@ def _render_plot(args: argparse.Namespace, svg_text: str, config: Mapping[str, o
 def _cmd_forest(args: argparse.Namespace) -> int:
     studies = _read_studies(args.path)
     pooled = fixed_effect_pool(studies, level=args.level)
-    spec = forest_model(studies, pooled)
-    config = {
-        "command": "forest", "seed": args.seed, "level": args.level,
-        "path": args.path, "studies": len(studies),
-    }
-    return _render_plot(args, render_forest_svg(spec), config)
+    return _render_plot(args, render_forest_svg(forest_model(studies, pooled)), studies)
 
 
 def _cmd_funnel(args: argparse.Namespace) -> int:
     studies = _read_studies(args.path)
-    data = funnel_data(studies)
-    config = {
-        "command": "funnel", "seed": args.seed, "level": args.level,
-        "path": args.path, "studies": len(studies),
-    }
-    return _render_plot(args, render_funnel_svg(data), config)
+    return _render_plot(args, render_funnel_svg(funnel_data(studies)), studies)
 
 
 def main(argv: Sequence[str] | None = None) -> int:

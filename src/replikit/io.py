@@ -1,8 +1,10 @@
-"""Study-file parsing, deterministic table rendering, and batch export.
+"""Study-file parsing, the one text/csv/json renderer, and batch export.
 
-All renders are pure functions of their inputs: no timestamps, no locale
-formatting, decimal point always ``.``. Text mode prints 4 significant
-digits; csv and json carry full precision.
+Each command hands ``render`` its config echo and its result as ordered
+tables; per-type rules decide how a value looks in each format. Renders are
+pure functions of their inputs: no timestamps, no locale formatting,
+decimal point always ``.``. Text mode prints 4 significant digits; csv and
+json carry full precision.
 """
 
 from __future__ import annotations
@@ -10,13 +12,14 @@ from __future__ import annotations
 import csv
 import io as _stdio
 import json
+from dataclasses import dataclass
 from enum import Enum
 from typing import Mapping, Sequence
 
 from .effect_size import EffectCategory, category_label
 from .errors import ParseError, UnsupportedFormatError
-from .meta import MetaResult, StudySummary
-from .simulation import BoxplotStats, SignAgreementTable, SimulationBatch
+from .meta import StudySummary
+from .simulation import BoxplotStats, SimulationBatch
 from .stats_core import SampleSummary
 
 
@@ -175,28 +178,92 @@ def serialize_study_csv(studies: Sequence[StudySummary]) -> str:
 
 
 # ---------------------------------------------------------------------------
-# Table rendering
+# Rendering
 # ---------------------------------------------------------------------------
 
-def category_table_dict(table: Mapping[EffectCategory, float]) -> dict[str, float]:
-    """Category proportions keyed by stable names, in canonical order."""
-    return {cat.value: table[cat] for cat in EffectCategory}
+class Percent(float):
+    """A proportion shown as a percentage in text and csv, as is in json."""
 
 
-def sign_table_dict(table: SignAgreementTable) -> dict[str, int]:
-    return {"mm": table.mm, "mp": table.mp, "pm": table.pm, "pp": table.pp}
+@dataclass(frozen=True)
+class Table:
+    """One block of a command's result: ordered (key, value) rows.
+
+    ``title`` is a header row shown in text only. In json the rows nest under
+    ``json_path``; ``name`` is a leading row in text and csv whose value
+    becomes the last json nesting key instead.
+    """
+
+    rows: Sequence[tuple[object, object]]
+    title: tuple[str, str] | None = None
+    json_path: tuple[str, ...] = ()
+    name: tuple[str, str] | None = None
 
 
-def meta_result_dict(result: MetaResult) -> dict[str, object]:
-    return {
-        "pooled_d": result.pooled_d,
-        "pooled_se": result.pooled_se,
-        "ci_lower": result.ci.lower,
-        "ci_upper": result.ci.upper,
-        "q": result.q_statistic,
-        "i_squared": result.i_squared,
-        "weights": list(result.weights),
-    }
+def config_lines(config: Mapping[str, object]) -> str:
+    """The config echo as ``# key value`` comment lines."""
+    return "".join(f"# {key} {value}\n" for key, value in config.items())
+
+
+def _cell(value: object, fmt: OutputFormat) -> object:
+    """One key or value as ``fmt`` shows it."""
+    if not isinstance(value, (str, int, float, tuple, EffectCategory)):
+        raise UnsupportedFormatError(f"cannot render a value of type {type(value).__name__}")
+    if fmt is OutputFormat.JSON:
+        if isinstance(value, EffectCategory):
+            return value.value
+        return list(value) if isinstance(value, tuple) else value
+    text = fmt is OutputFormat.TEXT
+    if isinstance(value, bool):
+        return "Y" if value else "N"
+    if isinstance(value, EffectCategory):
+        return category_label(value) if text else value.value
+    if isinstance(value, Percent):
+        return fmt4(100.0 * value) + "%" if text else repr(100.0 * value)
+    if isinstance(value, float):
+        return fmt4(value) if text else repr(value)
+    if isinstance(value, tuple):
+        return " ".join(map(fmt4, value)) if text else ";".join(map(repr, value))
+    return str(value)
+
+
+def render(
+    fmt: OutputFormat, config: Mapping[str, object], tables: Sequence[Table]
+) -> tuple[str, str]:
+    """A command's result as (stdout, stderr) in ``fmt``.
+
+    Text prints the config echo as comment lines above the tables, csv sends
+    it to stderr, and json carries it under a ``"config"`` key.
+    """
+    if fmt is OutputFormat.SVG:
+        raise UnsupportedFormatError("svg output is only available for plot commands")
+    if fmt is OutputFormat.JSON:
+        payload: dict[str, object] = {"config": dict(config)}
+        for table in tables:
+            node = payload
+            path = table.json_path + (() if table.name is None else (table.name[1],))
+            for key in path:
+                node = node.setdefault(key, {})
+            node.update((_cell(k, fmt), _cell(v, fmt)) for k, v in table.rows)
+        return json.dumps(payload, indent=2) + "\n", ""
+    blocks = []
+    for table in tables:
+        rows = [(_cell(k, fmt), _cell(v, fmt)) for k, v in table.rows]
+        if table.name is not None:
+            rows.insert(0, table.name)
+        if fmt is OutputFormat.CSV:
+            buf = _stdio.StringIO()
+            csv.writer(buf).writerows([[k for k, _ in rows], [v for _, v in rows]])
+            blocks.append(buf.getvalue())
+        else:
+            if table.title is not None:
+                rows.insert(0, table.title)
+            width = max(len(k) for k, _ in rows)
+            blocks.append("".join(f"{k.ljust(width)}  {v}\n" for k, v in rows))
+    body = "\n".join(blocks)
+    if fmt is OutputFormat.CSV:
+        return body, config_lines(config)
+    return config_lines(config) + body, ""
 
 
 def boxplot_dict(stats: BoxplotStats) -> dict[str, float | int]:
@@ -211,59 +278,6 @@ def boxplot_dict(stats: BoxplotStats) -> dict[str, float | int]:
         "whisker_high": stats.whisker_high,
         "n_outliers": stats.n_outliers,
     }
-
-
-def _csv_row(header: Sequence[str], row: Sequence[object]) -> str:
-    buf = _stdio.StringIO()
-    writer = csv.writer(buf)
-    writer.writerow(header)
-    writer.writerow(row)
-    return buf.getvalue()
-
-
-def _aligned(pairs: Sequence[tuple[str, str]]) -> str:
-    width = max(len(k) for k, _ in pairs)
-    return "\n".join(f"{k.ljust(width)}  {v}" for k, v in pairs) + "\n"
-
-
-def render_table(
-    table: Mapping[EffectCategory, float] | SignAgreementTable | MetaResult,
-    fmt: OutputFormat,
-) -> str:
-    """Render a category, sign-agreement, or meta-analysis table."""
-    if fmt is OutputFormat.SVG:
-        raise UnsupportedFormatError("svg output is only available for plot commands")
-    if isinstance(table, SignAgreementTable):
-        data = sign_table_dict(table)
-        if fmt is OutputFormat.JSON:
-            return json.dumps(data, indent=2) + "\n"
-        if fmt is OutputFormat.CSV:
-            return _csv_row(list(data), list(data.values()))
-        pairs = [("quadrant", "count")] + [(k, str(v)) for k, v in data.items()]
-        return _aligned(pairs)
-    if isinstance(table, MetaResult):
-        data = meta_result_dict(table)
-        if fmt is OutputFormat.JSON:
-            return json.dumps(data, indent=2) + "\n"
-        if fmt is OutputFormat.CSV:
-            flat = dict(data)
-            flat["weights"] = ";".join(repr(w) for w in table.weights)
-            return _csv_row(list(flat), list(flat.values()))
-        pairs = [(k, fmt4(v)) for k, v in data.items() if k != "weights"]
-        pairs.append(("weights", " ".join(fmt4(w) for w in table.weights)))
-        return _aligned(pairs)
-    if isinstance(table, Mapping):
-        named = category_table_dict(table)
-        if fmt is OutputFormat.JSON:
-            return json.dumps(named, indent=2) + "\n"
-        if fmt is OutputFormat.CSV:
-            # Percentages, full precision; the 7 data columns sum to 100.
-            return _csv_row(list(named), [repr(100.0 * v) for v in named.values()])
-        pairs = [("category", "proportion")] + [
-            (category_label(cat), fmt4(100.0 * table[cat]) + "%") for cat in EffectCategory
-        ]
-        return _aligned(pairs)
-    raise UnsupportedFormatError(f"cannot render object of type {type(table).__name__}")
 
 
 # ---------------------------------------------------------------------------
@@ -292,14 +306,3 @@ def batch_to_csv(batch: SimulationBatch) -> str:
     for r in batch.results:
         writer.writerow([r.index, repr(r.effect.d), repr(r.effect.se), r.effect.n1, r.effect.n2])
     return buf.getvalue()
-
-
-def batch_to_json(batch: SimulationBatch) -> str:
-    payload = {
-        "config": config_dict(batch),
-        "results": [
-            {"index": r.index, "d": r.effect.d, "se": r.effect.se, "n1": r.effect.n1, "n2": r.effect.n2}
-            for r in batch.results
-        ],
-    }
-    return json.dumps(payload, indent=2) + "\n"

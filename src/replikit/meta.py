@@ -111,13 +111,6 @@ def _effects_and_weights(studies: Sequence[StudySummary]) -> tuple[list[float], 
     return ds, weights
 
 
-def _q_and_i_squared(ds: list[float], weights: list[float], pooled_d: float) -> tuple[float, float]:
-    q = sum(w * (d - pooled_d) ** 2 for d, w in zip(ds, weights))
-    df = len(ds) - 1
-    i2 = max(0.0, (q - df) / q) if q > 0 and df >= 1 else 0.0
-    return q, i2
-
-
 def fixed_effect_pool(studies: Sequence[StudySummary], level: float = 0.95) -> MetaResult:
     """Inverse-variance fixed-effects pooling of standardized mean differences.
 
@@ -134,7 +127,9 @@ def fixed_effect_pool(studies: Sequence[StudySummary], level: float = 0.95) -> M
     pooled_se = math.sqrt(1.0 / w_total)
     z = normal_quantile((1.0 + level) / 2.0)
     ci = Interval(pooled_d - z * pooled_se, pooled_d + z * pooled_se, level)
-    q, i2 = _q_and_i_squared(ds, weights, pooled_d)
+    q = sum(w * (d - pooled_d) ** 2 for d, w in zip(ds, weights))
+    df = len(ds) - 1
+    i2 = max(0.0, (q - df) / q) if q > 0 and df >= 1 else 0.0
     return MetaResult(
         pooled_d=pooled_d,
         pooled_se=pooled_se,
@@ -143,14 +138,6 @@ def fixed_effect_pool(studies: Sequence[StudySummary], level: float = 0.95) -> M
         q_statistic=q,
         i_squared=i2,
     )
-
-
-def heterogeneity(studies: Sequence[StudySummary], pooled: MetaResult) -> tuple[float, float]:
-    """Cochran's Q and I-squared of the studies around the pooled estimate."""
-    if len(studies) < 2:
-        raise InsufficientDataError("heterogeneity needs at least 2 studies")
-    ds, weights = _effects_and_weights(studies)
-    return _q_and_i_squared(ds, weights, pooled.pooled_d)
 
 
 def forest_model(studies: Sequence[StudySummary], pooled: MetaResult) -> ForestPlotSpec:

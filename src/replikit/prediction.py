@@ -49,7 +49,7 @@ def prediction_interval(design: ReplicationDesign) -> Interval:
 
 def confirms(interval: Interval, d_rep: float) -> bool:
     """True iff the replication effect lies in the interval (inclusive ends)."""
-    return interval.lower <= d_rep <= interval.upper
+    return interval.contains(d_rep)
 
 
 def _half_width_equal(d: float, n_total: float, level: float) -> float:

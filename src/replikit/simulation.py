@@ -2,13 +2,13 @@
 
 Experiments are generated in standardized units (arm X shifted by the true
 effect, both arms unit sd before contamination scaling), so every computed d
-is bit-identical across (mu, sigma) choices at a fixed seed.
+is bit-identical across (mu, sigma) choices at a fixed seed. Each experiment
+draws from its own counter-based substream, and the batch runs serially.
 """
 
 from __future__ import annotations
 
 from collections import Counter
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from typing import Mapping, Sequence
 
@@ -16,7 +16,14 @@ import numpy as np
 
 from .effect_size import EffectCategory, EffectSize, classify, cohens_d
 from .errors import DomainError, InsufficientDataError, PairingError
-from .stats_core import ContaminationSpec, RandomStream, derive_substream, summarize
+from .stats_core import (
+    ContaminationSpec,
+    RandomStream,
+    derive_substream,
+    sample_contaminated,
+    sample_normal,
+    summarize,
+)
 
 _UINT64_MAX = 2**64 - 1
 
@@ -96,21 +103,16 @@ def run_experiment(config: SimulationConfig, stream: RandomStream) -> Experiment
     both with sd sigma and contaminated if configured. Deterministic per
     stream: the same (config, stream) always yields the same effect size.
     """
-    gen = stream.generator()
     n = config.n_per_arm
-    # Standardized draws first, uniforms after, so an epsilon = 0 spec yields
-    # the same d as no contamination at all.
-    zx = gen.standard_normal(n)
-    zy = gen.standard_normal(n)
     spec = config.contamination
-    if spec is not None:
-        ux = gen.random(n)
-        uy = gen.random(n)
-        zx = np.where(ux < spec.epsilon, spec.scale_mult, 1.0) * zx
-        zy = np.where(uy < spec.epsilon, spec.scale_mult, 1.0) * zy
-    arm_x = config.true_effect_d + zx
-    arm_y = zy
-    effect = cohens_d(summarize(arm_x), summarize(arm_y))
+    # One 2n-draw call: arm X takes the first n draws, arm Y the rest. The
+    # kernel draws every normal before any uniform, so epsilon = 0 gives the
+    # same d as no contamination.
+    if spec is None:
+        z = sample_normal(stream, 0.0, 1.0, 2 * n)
+    else:
+        z = sample_contaminated(stream, 0.0, 1.0, spec, 2 * n)
+    effect = cohens_d(summarize(config.true_effect_d + z[:n]), summarize(z[n:]))
     return ExperimentResult(index=stream.stream_index, effect=effect)
 
 
@@ -118,21 +120,15 @@ def run_simulation(config: SimulationConfig, workers: int = 1) -> SimulationBatc
     """Run ``config.runs`` experiments on substreams 0 .. runs-1.
 
     Experiment i always uses ``derive_substream(master_seed, i)``, so the
-    batch is identical regardless of ``workers`` or scheduling order.
+    batch depends only on the config. ``workers`` is accepted for
+    compatibility and ignored: each experiment is Python overhead that holds
+    the GIL, so a thread pool ran slower than this serial loop.
     """
-    streams = [derive_substream(config.master_seed, i) for i in range(config.runs)]
-    if workers <= 1 or config.runs == 0:
-        results = [run_experiment(config, s) for s in streams]
-    else:
-        chunks = np.array_split(np.arange(config.runs), min(workers, config.runs))
-
-        def run_chunk(idx: np.ndarray) -> list[ExperimentResult]:
-            return [run_experiment(config, streams[i]) for i in idx]
-
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            results = [r for chunk in pool.map(run_chunk, chunks) for r in chunk]
-        results.sort(key=lambda r: r.index)
-    return SimulationBatch(config=config, results=tuple(results))
+    results = tuple(
+        run_experiment(config, derive_substream(config.master_seed, i))
+        for i in range(config.runs)
+    )
+    return SimulationBatch(config=config, results=results)
 
 
 def tabulate_categories(batch: SimulationBatch) -> dict[EffectCategory, float]:

@@ -1,4 +1,4 @@
-"""CSV schema parsing, table rendering, and batch export."""
+"""CSV schema parsing, text/csv/json rendering, and batch export."""
 
 import json
 import math
@@ -18,17 +18,14 @@ from replikit import (
     StudySummary,
     UnsupportedFormatError,
     batch_to_csv,
-    batch_to_json,
-    category_table_dict,
     config_dict,
     fixed_effect_pool,
     fmt4,
     parse_study_csv,
-    render_table,
     run_simulation,
     serialize_study_csv,
-    sign_table_dict,
 )
+from replikit.io import Percent, Table, render
 
 HEADER = "study_id,label,n1,n2,mean1,mean2,sd1,sd2,d,se"
 
@@ -212,7 +209,7 @@ def test_serialize_carries_full_precision():
 
 
 # ---------------------------------------------------------------------------
-# render_table
+# render
 # ---------------------------------------------------------------------------
 
 CATEGORY_TABLE = {
@@ -226,8 +223,44 @@ CATEGORY_TABLE = {
 }
 
 
+# Tables laid out the way the CLI lays them out; tests/golden pins the CLI's
+# own tables byte for byte.
+
+def category_table(table):
+    rows = [(cat, Percent(p)) for cat, p in table.items()]
+    return Table(rows, title=("category", "proportion"), json_path=("categories",))
+
+
+def sign_table(table):
+    rows = [("mm", table.mm), ("mp", table.mp), ("pm", table.pm), ("pp", table.pp)]
+    return Table(rows, title=("quadrant", "count"), json_path=("sign_agreement",))
+
+
+def meta_table(result):
+    return Table([
+        ("pooled_d", result.pooled_d), ("pooled_se", result.pooled_se),
+        ("ci_lower", result.ci.lower), ("ci_upper", result.ci.upper),
+        ("q", result.q_statistic), ("i_squared", result.i_squared),
+        ("weights", result.weights),
+    ])
+
+
+def render_out(table, fmt):
+    out, err = render(fmt, {}, [table])
+    assert err == ""
+    return out
+
+
+def render_json(table):
+    data = json.loads(render_out(table, OutputFormat.JSON))
+    assert data.pop("config") == {}
+    for key in table.json_path:
+        data = data[key]
+    return data
+
+
 def test_category_csv_has_seven_columns_summing_to_100():
-    out = render_table(CATEGORY_TABLE, OutputFormat.CSV)
+    out = render_out(category_table(CATEGORY_TABLE), OutputFormat.CSV)
     header, row = out.strip().splitlines()
     names = header.split(",")
     values = [float(v) for v in row.split(",")]
@@ -237,28 +270,27 @@ def test_category_csv_has_seven_columns_summing_to_100():
 
 
 def test_category_text_uses_labels_and_percent():
-    out = render_table(CATEGORY_TABLE, OutputFormat.TEXT)
+    out = render_out(category_table(CATEGORY_TABLE), OutputFormat.TEXT)
     assert "category" in out and "proportion" in out
     assert "Large-" in out and "0.1%" in out
     assert "None" in out and "55.5%" in out
 
 
 def test_category_json_round_trips():
-    out = render_table(CATEGORY_TABLE, OutputFormat.JSON)
-    data = json.loads(out)
-    assert data == category_table_dict(CATEGORY_TABLE)
+    data = render_json(category_table(CATEGORY_TABLE))
+    assert data == {cat.value: p for cat, p in CATEGORY_TABLE.items()}
     assert list(data) == [cat.value for cat in EffectCategory]
 
 
 def test_sign_table_renders():
-    table = SignAgreementTable(mm=1, mp=2, pm=3, pp=4)
-    data = json.loads(render_table(table, OutputFormat.JSON))
+    table = sign_table(SignAgreementTable(mm=1, mp=2, pm=3, pp=4))
+    data = render_json(table)
     assert data == {"mm": 1, "mp": 2, "pm": 3, "pp": 4}
     assert all(isinstance(v, int) for v in data.values())
-    csv_out = render_table(table, OutputFormat.CSV)
+    csv_out = render_out(table, OutputFormat.CSV)
     assert csv_out.splitlines()[0] == "mm,mp,pm,pp"
     assert csv_out.splitlines()[1] == "1,2,3,4"
-    text = render_table(table, OutputFormat.TEXT)
+    text = render_out(table, OutputFormat.TEXT)
     assert "quadrant" in text and "count" in text
 
 
@@ -271,7 +303,7 @@ def build_meta():
 
 
 def test_meta_json_key_contract():
-    data = json.loads(render_table(build_meta(), OutputFormat.JSON))
+    data = render_json(meta_table(build_meta()))
     assert list(data) == [
         "pooled_d", "pooled_se", "ci_lower", "ci_upper", "q", "i_squared", "weights",
     ]
@@ -279,7 +311,7 @@ def test_meta_json_key_contract():
 
 
 def test_meta_csv_packs_weights():
-    out = render_table(build_meta(), OutputFormat.CSV)
+    out = render_out(meta_table(build_meta()), OutputFormat.CSV)
     header, row = out.strip().splitlines()
     assert header.startswith("pooled_d,pooled_se,ci_lower,ci_upper,q,i_squared,weights")
     weights_cell = row.split(",")[-1].strip('"')
@@ -287,7 +319,7 @@ def test_meta_csv_packs_weights():
 
 
 def test_meta_text_is_four_significant_digits():
-    out = render_table(build_meta(), OutputFormat.TEXT)
+    out = render_out(meta_table(build_meta()), OutputFormat.TEXT)
     assert "pooled_d" in out
     assert "1.14" in out
 
@@ -301,23 +333,24 @@ def test_fmt4():
 
 @pytest.mark.parametrize(
     "table",
-    [CATEGORY_TABLE, SignAgreementTable(0, 0, 0, 0)],
+    [category_table(CATEGORY_TABLE), sign_table(SignAgreementTable(0, 0, 0, 0))],
     ids=["category", "sign"],
 )
 def test_svg_is_not_a_table_format(table):
     with pytest.raises(UnsupportedFormatError):
-        render_table(table, OutputFormat.SVG)
+        render(OutputFormat.SVG, {}, [table])
 
 
 def test_svg_rejection_also_applies_to_meta():
     with pytest.raises(UnsupportedFormatError) as excinfo:
-        render_table(build_meta(), OutputFormat.SVG)
+        render(OutputFormat.SVG, {}, [meta_table(build_meta())])
     assert excinfo.value.exit_code == 2
 
 
 def test_render_rejects_unknown_payload():
-    with pytest.raises(UnsupportedFormatError):
-        render_table(object(), OutputFormat.TEXT)
+    for fmt in (OutputFormat.TEXT, OutputFormat.CSV, OutputFormat.JSON):
+        with pytest.raises(UnsupportedFormatError):
+            render(fmt, {}, [Table([("x", object())])])
 
 
 # ---------------------------------------------------------------------------
@@ -339,14 +372,6 @@ def test_batch_csv_layout(tiny_batch):
     assert int(first[3]) == tiny_batch.config.n_per_arm
 
 
-def test_batch_json_layout(tiny_batch):
-    data = json.loads(batch_to_json(tiny_batch))
-    assert set(data) == {"config", "results"}
-    assert data["config"]["master_seed"] == 11
-    assert len(data["results"]) == 4
-    assert data["results"][2]["d"] == tiny_batch.results[2].effect.d
-
-
 def test_config_dict_contamination_fields(tiny_batch):
     plain = config_dict(tiny_batch)
     assert plain["epsilon"] is None and plain["scale_mult"] is None
@@ -362,4 +387,4 @@ def test_config_dict_contamination_fields(tiny_batch):
 
 def test_sign_dict_helper():
     table = SignAgreementTable(mm=5, mp=6, pm=7, pp=8)
-    assert sign_table_dict(table) == {"mm": 5, "mp": 6, "pm": 7, "pp": 8}
+    assert render_json(sign_table(table)) == {"mm": 5, "mp": 6, "pm": 7, "pp": 8}

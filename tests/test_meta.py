@@ -15,7 +15,6 @@ from replikit import (
     fixed_effect_pool,
     forest_model,
     funnel_data,
-    heterogeneity,
 )
 
 
@@ -147,14 +146,16 @@ def test_pooled_d_within_input_range(studies):
 
 def test_identical_studies_no_heterogeneity():
     studies = [direct("s1", 0.5, 0.2), direct("s2", 0.5, 0.2)]
-    q, i2 = heterogeneity(studies, fixed_effect_pool(studies))
+    result = fixed_effect_pool(studies)
+    q, i2 = result.q_statistic, result.i_squared
     assert q < 1e-12
     assert i2 == 0.0
 
 
 def test_heterogeneity_hand_case():
     studies = [direct("s1", 0.0, 0.1), direct("s2", 1.0, 0.1)]
-    q, i2 = heterogeneity(studies, fixed_effect_pool(studies))
+    result = fixed_effect_pool(studies)
+    q, i2 = result.q_statistic, result.i_squared
     # weights 100 each, pooled 0.5: Q = 100*0.25 + 100*0.25 = 50
     assert math.isclose(q, 50.0, rel_tol=1e-9)
     assert math.isclose(i2, 0.98, rel_tol=1e-9)
@@ -163,15 +164,10 @@ def test_heterogeneity_hand_case():
 def test_equal_studies_any_k_q_zero():
     for k in (2, 3, 7):
         studies = [direct(f"s{i}", 0.3, 0.4) for i in range(k)]
-        q, i2 = heterogeneity(studies, fixed_effect_pool(studies))
+        result = fixed_effect_pool(studies)
+        q, i2 = result.q_statistic, result.i_squared
         assert q < 1e-10
         assert i2 == 0.0
-
-
-def test_heterogeneity_needs_two_studies():
-    studies = [direct("s1", 0.5, 0.2)]
-    with pytest.raises(InsufficientDataError):
-        heterogeneity(studies, fixed_effect_pool(studies))
 
 
 # ---------------------------------------------------------------------------

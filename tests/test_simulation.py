@@ -1,6 +1,7 @@
 """Monte Carlo engine: determinism, pairing, tabulation, boxplot data."""
 
 import math
+import threading
 
 import numpy as np
 import pytest
@@ -56,6 +57,16 @@ def test_worker_count_does_not_change_results():
     serial = run_simulation(cfg, workers=1)
     threaded = run_simulation(cfg, workers=7)
     assert serial.results == threaded.results
+
+
+@pytest.mark.parametrize("workers", [0, 1, 2, 10_000])
+def test_run_simulation_starts_no_threads(monkeypatch, workers):
+    def refuse(self):
+        raise AssertionError("run_simulation started a thread")
+
+    monkeypatch.setattr(threading.Thread, "start", refuse)
+    batch = run_simulation(SimulationConfig(runs=4), workers=workers)
+    assert [r.index for r in batch.results] == [0, 1, 2, 3]
 
 
 def test_mu_sigma_invariance_is_bitwise():
