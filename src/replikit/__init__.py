@@ -58,14 +58,12 @@ from .prediction import (
 )
 from .simulation import (
     BoxplotStats,
-    ExperimentResult,
     SignAgreementTable,
     SimulationBatch,
     SimulationConfig,
     boxplot_summary,
     pair_replications,
     pairing_stream,
-    run_experiment,
     run_simulation,
     tabulate_categories,
     tabulate_sign_agreement,
@@ -77,8 +75,6 @@ from .stats_core import (
     derive_substream,
     normal_quantile,
     regularized_incomplete_beta,
-    sample_contaminated,
-    sample_normal,
     summarize,
     t_cdf,
     t_pdf,
@@ -96,7 +92,6 @@ __all__ = [
     "DomainError",
     "EffectCategory",
     "EffectSize",
-    "ExperimentResult",
     "ForestPlotSpec",
     "ForestRow",
     "FunnelData",
@@ -142,10 +137,7 @@ __all__ = [
     "regularized_incomplete_beta",
     "render_forest_svg",
     "render_funnel_svg",
-    "run_experiment",
     "run_simulation",
-    "sample_contaminated",
-    "sample_normal",
     "serialize_study_csv",
     "standard_error_d",
     "summarize",

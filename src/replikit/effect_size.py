@@ -7,6 +7,8 @@ import math
 from dataclasses import dataclass
 from enum import Enum
 
+import numpy as np
+
 from .errors import DegenerateSampleError, DomainError
 from .stats_core import SampleSummary, normal_quantile
 
@@ -123,6 +125,27 @@ def cohens_d(arm1: SampleSummary, arm2: SampleSummary, hedges: bool = False) -> 
         j = hedges_correction(arm1.n + arm2.n - 2)
         d, se = j * d, j * se
     return EffectSize(d=d, se=se, n1=arm1.n, n2=arm2.n)
+
+
+def cohens_d_rows(
+    mean1: np.ndarray, sd1: np.ndarray, mean2: np.ndarray, sd2: np.ndarray, n1: int, n2: int
+) -> tuple[np.ndarray, np.ndarray]:
+    """Row-wise ``cohens_d`` (no Hedges correction) as (d, se) arrays, each row
+    bit-identical to the scalar path and rejected with the error it raises."""
+    if not all(np.isfinite(a).all() for a in (mean1, sd1, mean2, sd2)):
+        raise DomainError("mean and sd must be finite")
+    # np.float_power is libm pow, like the scalar ``sd**2``; numpy's ``sd**2``
+    # is sd*sd, which differs in the last bit for about 0.1 % of values.
+    var_sum = (n1 - 1) * np.float_power(sd1, 2.0) + (n2 - 1) * np.float_power(sd2, 2.0)
+    sp = np.sqrt(var_sum / (n1 + n2 - 2))
+    if not sp.all():
+        raise DegenerateSampleError("pooled standard deviation is zero; d undefined")
+    d = (mean1 - mean2) / sp
+    n = n1 + n2
+    se = np.sqrt(n / (n1 * n2) + d * d / (2.0 * n))
+    if not (np.isfinite(d).all() and np.isfinite(se).all()):
+        raise DomainError("d and se must be finite")
+    return d, se
 
 
 def classify(d: float) -> EffectCategory:

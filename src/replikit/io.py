@@ -53,7 +53,7 @@ def _parse_number(raw: str, row_num: int, column: str, as_int: bool = False) -> 
                 raise ValueError
             return int(value)
         return value
-    except ValueError:
+    except (ValueError, OverflowError):
         kind = "an integer" if as_int else "a number"
         raise ParseError(f"row {row_num}: column {column!r} must be {kind}, got {raw!r}") from None
 
@@ -303,6 +303,7 @@ def batch_to_csv(batch: SimulationBatch) -> str:
     buf = _stdio.StringIO()
     writer = csv.writer(buf)
     writer.writerow(["index", "d", "se", "n1", "n2"])
-    for r in batch.results:
-        writer.writerow([r.index, repr(r.effect.d), repr(r.effect.se), r.effect.n1, r.effect.n2])
+    n = batch.config.n_per_arm
+    for i, (d, se) in enumerate(zip(batch.d.tolist(), batch.se.tolist())):
+        writer.writerow([i, repr(d), repr(se), n, n])
     return buf.getvalue()

@@ -45,8 +45,17 @@ class StudySummary:
         if direct_complete:
             if not math.isfinite(self.d):
                 raise DomainError(f"study {self.study_id!r}: d must be finite")
-            if not (math.isfinite(self.se) and self.se > 0):
-                raise DomainError(f"study {self.study_id!r}: se must be finite and > 0")
+            # se^2 then lies in [2^-1022, 2^1022], normal doubles, so the
+            # pooling weight 1/se^2 is finite and positive.
+            if not 2.0**-511 <= self.se <= 2.0**511:
+                raise DomainError(
+                    f"study {self.study_id!r}: se must be in [2^-511, 2^511], where its "
+                    f"weight 1/se^2 is finite and > 0; got {self.se!r}"
+                )
+        if (self.n1 is not None and self.n1 < 2) or (self.n2 is not None and self.n2 < 2):
+            raise DomainError(
+                f"study {self.study_id!r}: n1 and n2 must be >= 2, got {self.n1} and {self.n2}"
+            )
 
     def effect(self) -> tuple[float, float]:
         """(d, se), computed from the arms when given as raw summaries."""
@@ -164,7 +173,7 @@ def forest_model(studies: Sequence[StudySummary], pooled: MetaResult) -> ForestP
     lows = [r.ci.lower for r in rows] + [pooled.ci.lower]
     highs = [r.ci.upper for r in rows] + [pooled.ci.upper]
     lo, hi = min(lows), max(highs)
-    pad = 0.05 * (hi - lo)
+    pad = 0.05 * (hi - lo) if hi > lo else 0.5
     return ForestPlotSpec(
         rows=rows,
         pooled_d=pooled.pooled_d,

@@ -2,30 +2,34 @@
 
 Experiments are generated in standardized units (arm X shifted by the true
 effect, both arms unit sd before contamination scaling), so every computed d
-is bit-identical across (mu, sigma) choices at a fixed seed. Each experiment
-draws from its own counter-based substream, and the batch runs serially.
+is bit-identical across (mu, sigma) choices at a fixed seed. Experiment i
+draws from its own counter-based substream i. A batch is two columns, d and
+se, one row per experiment; rows are drawn into a matrix and reduced in
+vectorised chunks, and every table downstream reads those columns.
 """
 
 from __future__ import annotations
 
 from collections import Counter
 from dataclasses import dataclass
-from typing import Mapping, Sequence
+from typing import Mapping
 
 import numpy as np
 
-from .effect_size import EffectCategory, EffectSize, classify, cohens_d
+from .effect_size import EffectCategory, classify, cohens_d_rows
 from .errors import DomainError, InsufficientDataError, PairingError
 from .stats_core import (
     ContaminationSpec,
     RandomStream,
     derive_substream,
-    sample_contaminated,
-    sample_normal,
-    summarize,
+    draw_contaminated,
+    draw_normal,
 )
 
 _UINT64_MAX = 2**64 - 1
+
+# Draws per chunk; rows per chunk follow, so memory is bounded for any n_per_arm.
+_CHUNK_DRAWS = 2**18
 
 
 @dataclass(frozen=True)
@@ -51,20 +55,20 @@ class SimulationConfig:
             raise DomainError(f"master_seed must be a 64-bit unsigned integer, got {self.master_seed}")
 
 
-@dataclass(frozen=True)
-class ExperimentResult:
-    """One simulated experiment: its substream index and effect size."""
-
-    index: int
-    effect: EffectSize
-
-
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class SimulationBatch:
-    """All experiments produced by one configuration."""
+    """All experiments of one configuration as read-only columns: ``d[i]`` and
+    ``se[i]`` are the Cohen's d and its standard error for substream i."""
 
     config: SimulationConfig
-    results: tuple[ExperimentResult, ...]
+    d: np.ndarray
+    se: np.ndarray
+
+    def __post_init__(self) -> None:
+        for name in ("d", "se"):
+            column = np.array(getattr(self, name), dtype=float)
+            column.flags.writeable = False
+            object.__setattr__(self, name, column)
 
 
 @dataclass(frozen=True)
@@ -96,85 +100,68 @@ class BoxplotStats:
     n_outliers: int
 
 
-def run_experiment(config: SimulationConfig, stream: RandomStream) -> ExperimentResult:
-    """Simulate one two-arm experiment on the given substream.
-
-    Arm X has population mean mu + true_effect_d * sigma, arm Y has mean mu,
-    both with sd sigma and contaminated if configured. Deterministic per
-    stream: the same (config, stream) always yields the same effect size.
-    """
-    n = config.n_per_arm
-    spec = config.contamination
-    # One 2n-draw call: arm X takes the first n draws, arm Y the rest. The
-    # kernel draws every normal before any uniform, so epsilon = 0 gives the
-    # same d as no contamination.
-    if spec is None:
-        z = sample_normal(stream, 0.0, 1.0, 2 * n)
-    else:
-        z = sample_contaminated(stream, 0.0, 1.0, spec, 2 * n)
-    effect = cohens_d(summarize(config.true_effect_d + z[:n]), summarize(z[n:]))
-    return ExperimentResult(index=stream.stream_index, effect=effect)
-
-
 def run_simulation(config: SimulationConfig, workers: int = 1) -> SimulationBatch:
     """Run ``config.runs`` experiments on substreams 0 .. runs-1.
 
-    Experiment i always uses ``derive_substream(master_seed, i)``, so the
-    batch depends only on the config. ``workers`` is accepted for
-    compatibility and ignored: each experiment is Python overhead that holds
-    the GIL, so a thread pool ran slower than this serial loop.
+    Experiment i always uses ``derive_substream(master_seed, i)``: its first
+    n_per_arm draws, shifted by the true effect, are arm X and the rest are
+    arm Y, so the batch depends only on the config. ``workers`` is accepted
+    for compatibility and ignored: each chunk is reduced by vectorised numpy
+    calls, and the per-row generator set-up is Python work that holds the GIL.
     """
-    results = tuple(
-        run_experiment(config, derive_substream(config.master_seed, i))
-        for i in range(config.runs)
-    )
-    return SimulationBatch(config=config, results=results)
+    n = config.n_per_arm
+    spec = config.contamination
+    d = np.empty(config.runs)
+    se = np.empty(config.runs)
+    rows = max(1, _CHUNK_DRAWS // (2 * n))
+    for start in range(0, config.runs, rows):
+        stop = min(start + rows, config.runs)
+        z = np.empty((stop - start, 2 * n))
+        for row, i in enumerate(range(start, stop)):
+            gen = derive_substream(config.master_seed, i).generator()
+            if spec is None:
+                z[row] = draw_normal(gen, 0.0, 1.0, 2 * n)
+            else:
+                z[row] = draw_contaminated(gen, 0.0, 1.0, spec, 2 * n)
+        x, y = z[:, :n], z[:, n:]
+        # Non-finite rows are rejected by the kernel, not warned about.
+        with np.errstate(all="ignore"):
+            x += config.true_effect_d
+            d[start:stop], se[start:stop] = cohens_d_rows(
+                x.mean(axis=1), x.std(axis=1, ddof=1), y.mean(axis=1), y.std(axis=1, ddof=1), n, n
+            )
+    return SimulationBatch(config, d, se)
 
 
 def tabulate_categories(batch: SimulationBatch) -> dict[EffectCategory, float]:
     """Fraction of experiments per effect category; fractions sum to 1."""
-    if not batch.results:
+    if not batch.d.size:
         raise InsufficientDataError("cannot tabulate an empty batch")
-    counts = Counter(classify(r.effect.d) for r in batch.results)
-    total = len(batch.results)
-    return {cat: counts.get(cat, 0) / total for cat in EffectCategory}
+    counts = Counter(map(classify, batch.d.tolist()))
+    return {cat: counts.get(cat, 0) / batch.d.size for cat in EffectCategory}
 
 
-def pair_replications(
-    batch: SimulationBatch, stream: RandomStream
-) -> tuple[tuple[ExperimentResult, ExperimentResult], ...]:
+def pair_replications(batch: SimulationBatch, stream: RandomStream) -> np.ndarray:
     """Uniformly random perfect matching of the batch into replication pairs.
 
-    Seeded Fisher-Yates shuffle followed by adjacent pairing; every
+    Seeded Fisher-Yates shuffle followed by adjacent pairing: row k of the
+    returned (runs/2, 2) array holds the two d values of pair k, and every
     experiment appears in exactly one pair.
     """
-    n = len(batch.results)
+    n = batch.d.size
     if n % 2 != 0:
         raise PairingError(f"cannot pair an odd number of experiments ({n})")
     perm = stream.generator().permutation(n)
-    return tuple(
-        (batch.results[perm[2 * k]], batch.results[perm[2 * k + 1]]) for k in range(n // 2)
-    )
+    return batch.d[perm].reshape(-1, 2)
 
 
-def tabulate_sign_agreement(
-    pairs: Sequence[tuple[ExperimentResult, ExperimentResult]],
-) -> SignAgreementTable:
-    """Count pairs per sign quadrant. A d of exactly 0 is binned as positive."""
-    if not pairs:
+def tabulate_sign_agreement(pairs: np.ndarray) -> SignAgreementTable:
+    """Count (k, 2) d pairs per sign quadrant. A d of exactly 0 is binned as positive."""
+    positive = np.asarray(pairs) >= 0
+    if not positive.size:
         raise InsufficientDataError("cannot tabulate an empty pair list")
-    mm = mp = pm = pp = 0
-    for first, second in pairs:
-        pos1 = first.effect.d >= 0
-        pos2 = second.effect.d >= 0
-        if pos1 and pos2:
-            pp += 1
-        elif pos1:
-            pm += 1
-        elif pos2:
-            mp += 1
-        else:
-            mm += 1
+    # Quadrant code 2*first + second counts in the order mm, mp, pm, pp.
+    mm, mp, pm, pp = np.bincount(2 * positive[:, 0] + positive[:, 1], minlength=4).tolist()
     return SignAgreementTable(mm=mm, mp=mp, pm=pm, pp=pp)
 
 
@@ -203,10 +190,9 @@ def boxplot_summary(batches: Mapping[str, SimulationBatch]) -> dict[str, Boxplot
         raise InsufficientDataError("no scenarios to summarize")
     out: dict[str, BoxplotStats] = {}
     for name, batch in batches.items():
-        if not batch.results:
+        if not batch.d.size:
             raise InsufficientDataError(f"scenario {name!r} has no experiments")
-        ds = np.array([r.effect.d for r in batch.results])
-        out[name] = _boxplot_stats(ds)
+        out[name] = _boxplot_stats(batch.d)
     return out
 
 

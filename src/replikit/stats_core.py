@@ -123,22 +123,6 @@ def draw_contaminated(
     return mu + sigma * (scale * z)
 
 
-def sample_normal(stream: RandomStream, mu: float, sigma: float, n: int) -> np.ndarray:
-    """n i.i.d. N(mu, sigma) draws; a pure function of the stream value."""
-    return draw_normal(stream.generator(), mu, sigma, n)
-
-
-def sample_contaminated(
-    stream: RandomStream, mu: float, sigma: float, spec: ContaminationSpec, n: int
-) -> np.ndarray:
-    """n i.i.d. mixed-normal draws; a pure function of the stream value.
-
-    Each draw is N(mu, sigma) with probability 1 - epsilon and
-    N(mu, scale_mult * sigma) with probability epsilon.
-    """
-    return draw_contaminated(stream.generator(), mu, sigma, spec, n)
-
-
 def summarize(sample: Sequence[float] | np.ndarray) -> SampleSummary:
     """Count, mean, and n-1-denominator standard deviation of a sample."""
     arr = np.asarray(sample, dtype=float)

@@ -283,12 +283,12 @@ def test_criterion_8_property_batteries_without_reference_data():
     cfg = SimulationConfig(runs=200, true_effect_d=0.2, master_seed=7)
     serial = run_simulation(cfg, workers=1)
     threaded = run_simulation(cfg, workers=5)
-    if [r.effect.d for r in serial.results] != [r.effect.d for r in threaded.results]:
+    if serial.d.tolist() != threaded.d.tolist():
         failures.append("worker determinism")
     unit = run_simulation(
         SimulationConfig(runs=200, mu=0.0, sigma=1.0, true_effect_d=0.2, master_seed=7)
     )
-    if [r.effect.d for r in serial.results] != [r.effect.d for r in unit.results]:
+    if serial.d.tolist() != unit.d.tolist():
         failures.append("(mu, sigma)-invariance")
 
     # CSV round-trip on a generated study list.

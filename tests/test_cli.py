@@ -1,6 +1,7 @@
 """End-to-end CLI behavior: output routing, config echo, exit codes."""
 
 import json
+import warnings
 
 import pytest
 
@@ -156,6 +157,19 @@ def test_simulate_odd_runs_exits_3(capsys):
     assert "error" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("effect", ["inf", "nan", "1e308", "1.7e308"])
+def test_simulate_non_finite_experiment_exits_3_with_one_line(effect, capsys):
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        rc = main(["simulate", "--runs", "2", "--effect", effect])
+    captured = capsys.readouterr()
+    assert rc == 3
+    assert captured.out == ""
+    assert captured.err == "replikit: error: mean and sd must be finite\n"
+    # A warning would reach stderr as extra lines outside pytest.
+    assert [str(w.message) for w in caught] == []
+
+
 def test_simulate_bad_effect_name_exits_2(capsys):
     assert main(["simulate", "--runs", "10", "--effect", "bogus"]) == 2
     assert "--effect" in capsys.readouterr().err
@@ -253,6 +267,24 @@ def test_meta_ambiguous_csv_exits_2(tmp_path, capsys):
     )
     assert main(["meta", str(path)]) == 2
     assert "ambiguous" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("command", ["meta", "forest", "funnel"])
+@pytest.mark.parametrize(
+    "row", ["s1,a,inf,4,,,,,0.1,0.2", "s1,a,-5,0,,,,,0.1,0.2", "s1,a,,,,,,,0.1,1e-200"]
+)
+def test_bad_study_row_exits_2(command, row, tmp_path, capsys):
+    path = tmp_path / "bad.csv"
+    path.write_text(STUDY_HEADER + "\n" + row + "\n", encoding="utf-8")
+    assert main([command, str(path)]) == 2
+    assert capsys.readouterr().err.startswith("replikit: error: row 1: ")
+
+
+def test_forest_single_precise_study_renders(tmp_path, capsys):
+    path = tmp_path / "one.csv"
+    path.write_text(STUDY_HEADER + "\ns1,a,,,,,,,1.0,1e-20\n", encoding="utf-8")
+    assert main(["forest", str(path)]) == 0
+    assert capsys.readouterr().out.startswith("<svg")
 
 
 def test_forest_writes_svg_file(study_file, tmp_path, capsys):

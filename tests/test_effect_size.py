@@ -2,6 +2,7 @@
 
 import math
 
+import numpy as np
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
@@ -21,6 +22,7 @@ from replikit import (
     pooled_sd,
     standard_error_d,
 )
+from replikit.effect_size import cohens_d_rows
 
 arm_ns = st.integers(min_value=2, max_value=1000)
 arm_means = st.floats(min_value=-1e3, max_value=1e3)
@@ -85,6 +87,38 @@ def test_d_antisymmetric(a, b):
     ba = cohens_d(b, a)
     assert ab.d == -ba.d
     assert ab.se == ba.se
+
+
+@given(a=arm_summaries, b=arm_summaries)
+def test_d_rows_bit_identical_to_scalar(a, b):
+    d, se = cohens_d_rows(
+        np.array([a.mean]), np.array([a.sd]), np.array([b.mean]), np.array([b.sd]), a.n, b.n
+    )
+    scalar = cohens_d(a, b)
+    assert (d.tolist(), se.tolist()) == ([scalar.d], [scalar.se])
+
+
+def rows(mean1, sd1, mean2, sd2, n=5):
+    return cohens_d_rows(*(np.array(v, dtype=float) for v in (mean1, sd1, mean2, sd2)), n, n)
+
+
+def test_d_rows_reject_zero_pooled_sd_in_any_row():
+    with pytest.raises(DegenerateSampleError):
+        rows([1.0, 1.0], [1.0, 0.0], [0.0, 2.0], [1.0, 0.0])
+
+
+@pytest.mark.parametrize(
+    "mean1, sd1",
+    [([0.0, math.inf], [1.0, 1.0]), ([0.0, math.nan], [1.0, 1.0]), ([0.0, 0.0], [1.0, math.inf])],
+)
+def test_d_rows_reject_non_finite_summaries(mean1, sd1):
+    with pytest.raises(DomainError, match="mean and sd"):
+        rows(mean1, sd1, [0.0, 0.0], [1.0, 1.0])
+
+
+def test_d_rows_reject_overflowing_d():
+    with pytest.raises(DomainError, match="d and se"), np.errstate(over="ignore"):
+        rows([0.0, 1e308], [1.0, 1e-10], [0.0, -1e308], [1.0, 1e-10])
 
 
 @given(

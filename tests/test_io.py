@@ -141,6 +141,24 @@ def test_parse_rejects_non_integer_n():
         parse_study_csv(text)
 
 
+def test_parse_rejects_infinite_n_with_row_number():
+    text = HEADER + "\ns1,a,inf,4,,,,,0.1,0.2\n"
+    with pytest.raises(ParseError, match="row 1.*'n1'.*integer.*'inf'"):
+        parse_study_csv(text)
+
+
+def test_parse_rejects_direct_form_n_below_two():
+    text = HEADER + "\ns1,a,-5,0,,,,,0.1,0.2\n"
+    with pytest.raises(ParseError, match="row 1.*n1 and n2 must be >= 2"):
+        parse_study_csv(text)
+
+
+def test_parse_rejects_underflowing_se():
+    text = HEADER + "\ns1,a,,,,,,,0.1,1e-200\n"
+    with pytest.raises(ParseError, match="row 1.*se must be in"):
+        parse_study_csv(text)
+
+
 def test_parse_rejects_empty_study_id():
     text = HEADER + "\n,a,,,,,,,0.1,0.2\n"
     with pytest.raises(ParseError, match="'study_id'"):
@@ -368,7 +386,7 @@ def test_batch_csv_layout(tiny_batch):
     assert len(lines) == 1 + 4
     first = lines[1].split(",")
     assert int(first[0]) == 0
-    assert float(first[1]) == tiny_batch.results[0].effect.d  # repr round-trips
+    assert float(first[1]) == tiny_batch.d[0]  # repr round-trips
     assert int(first[3]) == tiny_batch.config.n_per_arm
 
 

@@ -52,6 +52,23 @@ def test_study_requires_exactly_one_form():
         StudySummary("s", "s", d=0.5, se=0.0)
 
 
+@pytest.mark.parametrize("se", [1e-200, 1e200, 2.0**-512, 2.0**512])
+def test_direct_se_whose_weight_is_not_finite_and_positive_rejected(se):
+    with pytest.raises(DomainError, match="se must be in"):
+        direct("s", 0.5, se)
+
+
+def test_direct_se_at_the_bounds_pools_finitely():
+    pooled = fixed_effect_pool([direct("a", 0.5, 2.0**-511), direct("b", 0.5, 2.0**511)])
+    assert math.isfinite(pooled.pooled_d) and math.isfinite(pooled.pooled_se)
+
+
+@pytest.mark.parametrize("n1, n2", [(-5, 0), (30, 1), (1, 30)])
+def test_direct_form_arm_sizes_below_two_rejected(n1, n2):
+    with pytest.raises(DomainError, match=">= 2"):
+        StudySummary("s", "s", d=0.5, se=0.3, n1=n1, n2=n2)
+
+
 def test_arm_form_effect_matches_effect_module():
     a = SampleSummary(30, 105.0, 20.0)
     b = SampleSummary(30, 100.0, 20.0)
@@ -199,6 +216,12 @@ def test_forest_axis_covers_all_cis_with_padding():
     highs = [r.ci.upper for r in spec.rows] + [spec.pooled_ci.upper]
     assert spec.axis_lo < min(lows)
     assert spec.axis_hi > max(highs)
+
+
+def test_forest_axis_padded_when_cis_collapse_to_a_point():
+    studies = [direct("s", 1.0, 1e-20)]
+    spec = forest_model(studies, fixed_effect_pool(studies))
+    assert (spec.axis_lo, spec.axis_hi) == (0.5, 1.5)
 
 
 def test_forest_preserves_input_order():

@@ -10,21 +10,21 @@ from replikit import (
     ContaminationSpec,
     DomainError,
     EffectCategory,
-    EffectSize,
-    ExperimentResult,
     InsufficientDataError,
     PairingError,
     SimulationBatch,
     SimulationConfig,
     boxplot_summary,
+    cohens_d,
     derive_substream,
     pair_replications,
     pairing_stream,
-    run_experiment,
     run_simulation,
+    summarize,
     tabulate_categories,
     tabulate_sign_agreement,
 )
+from replikit.stats_core import draw_contaminated, draw_normal
 
 
 def small_config(**overrides):
@@ -34,29 +34,70 @@ def small_config(**overrides):
 
 
 def d_values(batch):
-    return [r.effect.d for r in batch.results]
+    return batch.d.tolist()
+
+
+def columns(batch):
+    return batch.d.tolist(), batch.se.tolist()
 
 
 # ---------------------------------------------------------------------------
 # Determinism
 # ---------------------------------------------------------------------------
 
-def test_run_experiment_deterministic():
-    cfg = small_config()
-    stream = derive_substream(cfg.master_seed, 3)
-    assert run_experiment(cfg, stream) == run_experiment(cfg, stream)
+def scalar_row(cfg, i):
+    """Experiment i recomputed on the scalar path from substream i."""
+    n = cfg.n_per_arm
+    gen = derive_substream(cfg.master_seed, i).generator()
+    if cfg.contamination is None:
+        z = draw_normal(gen, 0.0, 1.0, 2 * n)
+    else:
+        z = draw_contaminated(gen, 0.0, 1.0, cfg.contamination, 2 * n)
+    effect = cohens_d(summarize(cfg.true_effect_d + z[:n]), summarize(z[n:]))
+    return effect.d, effect.se
+
+
+@pytest.mark.parametrize("n_per_arm", [2, 3, 30, 129, 300])
+@pytest.mark.parametrize("epsilon", [None, 0.1, 0.0])
+@pytest.mark.parametrize("effect", [0.0, 0.2])
+def test_row_i_is_scalar_cohens_d_on_substream_i(effect, epsilon, n_per_arm):
+    spec = None if epsilon is None else ContaminationSpec(epsilon=epsilon, scale_mult=10.0)
+    cfg = small_config(runs=300, n_per_arm=n_per_arm, true_effect_d=effect, contamination=spec)
+    batch = run_simulation(cfg)
+    assert batch.d.shape == batch.se.shape == (cfg.runs,)
+    for i in range(cfg.runs):
+        assert (batch.d[i], batch.se[i]) == scalar_row(cfg, i), i
+
+
+def test_chunk_boundaries_do_not_change_rows(monkeypatch):
+    cfg = small_config(runs=50)
+    whole = columns(run_simulation(cfg))
+    monkeypatch.setattr("replikit.simulation._CHUNK_DRAWS", 7 * 2 * cfg.n_per_arm)
+    assert columns(run_simulation(cfg)) == whole
+
+
+def test_batch_columns_are_read_only():
+    d = np.array([0.1, -0.2])
+    batch = SimulationBatch(small_config(runs=2), d, np.array([0.26, 0.26]))
+    d[0] = 5.0
+    assert batch.d.tolist() == [0.1, -0.2]
+    for column in (batch.d, batch.se):
+        with pytest.raises(ValueError):
+            column[0] = 1.0
+    with pytest.raises(ValueError):
+        run_simulation(small_config(runs=2)).d[0] = 1.0
 
 
 def test_run_simulation_deterministic():
     cfg = small_config()
-    assert run_simulation(cfg).results == run_simulation(cfg).results
+    assert columns(run_simulation(cfg)) == columns(run_simulation(cfg))
 
 
 def test_worker_count_does_not_change_results():
     cfg = small_config(runs=400)
     serial = run_simulation(cfg, workers=1)
     threaded = run_simulation(cfg, workers=7)
-    assert serial.results == threaded.results
+    assert columns(serial) == columns(threaded)
 
 
 @pytest.mark.parametrize("workers", [0, 1, 2, 10_000])
@@ -66,7 +107,7 @@ def test_run_simulation_starts_no_threads(monkeypatch, workers):
 
     monkeypatch.setattr(threading.Thread, "start", refuse)
     batch = run_simulation(SimulationConfig(runs=4), workers=workers)
-    assert [r.index for r in batch.results] == [0, 1, 2, 3]
+    assert batch.d.size == batch.se.size == 4
 
 
 def test_mu_sigma_invariance_is_bitwise():
@@ -82,14 +123,9 @@ def test_zero_epsilon_contamination_matches_plain_normal():
     assert d_values(a) == d_values(b)
 
 
-def test_indices_are_substream_indices():
-    batch = run_simulation(small_config(runs=10))
-    assert [r.index for r in batch.results] == list(range(10))
-
-
 def test_empty_batch():
     batch = run_simulation(small_config(runs=0))
-    assert batch.results == ()
+    assert columns(batch) == ([], [])
 
 
 def test_config_validation():
@@ -115,8 +151,7 @@ def test_categories_sum_to_one():
 
 def test_single_null_experiment_is_all_none_category():
     cfg = small_config(runs=2)
-    result = ExperimentResult(index=0, effect=EffectSize(d=0.0, se=0.26, n1=30, n2=30))
-    table = tabulate_categories(SimulationBatch(cfg, (result,)))
+    table = tabulate_categories(SimulationBatch(cfg, np.array([0.0]), np.array([0.26])))
     assert table[EffectCategory.NONE] == 1.0
     assert sum(table.values()) == 1.0
 
@@ -134,23 +169,24 @@ def test_pairing_is_a_perfect_matching():
     cfg = small_config(runs=400)
     batch = run_simulation(cfg)
     pairs = pair_replications(batch, pairing_stream(cfg))
-    assert len(pairs) == 200
-    used = sorted(i for pair in pairs for i in (pair[0].index, pair[1].index))
-    assert used == list(range(400))
+    assert pairs.shape == (200, 2)
+    # The d values are distinct, so equal multisets mean each is used once.
+    assert len(set(d_values(batch))) == 400
+    assert sorted(pairs.ravel().tolist()) == sorted(d_values(batch))
 
 
 def test_pairing_two_experiments_forced():
     cfg = small_config(runs=2)
     batch = run_simulation(cfg)
     pairs = pair_replications(batch, pairing_stream(cfg))
-    assert len(pairs) == 1
-    assert {pairs[0][0].index, pairs[0][1].index} == {0, 1}
+    assert pairs.shape == (1, 2)
+    assert sorted(pairs[0].tolist()) == sorted(d_values(batch))
 
 
 def test_pairing_rejects_odd_batch():
     cfg = small_config(runs=4)
     batch = run_simulation(cfg)
-    odd = SimulationBatch(cfg, batch.results[:3])
+    odd = SimulationBatch(cfg, batch.d[:3], batch.se[:3])
     with pytest.raises(PairingError):
         pair_replications(odd, pairing_stream(cfg))
 
@@ -160,32 +196,32 @@ def test_pairing_deterministic():
     batch = run_simulation(cfg)
     p1 = pair_replications(batch, pairing_stream(cfg))
     p2 = pair_replications(batch, pairing_stream(cfg))
-    assert p1 == p2
+    assert p1.tolist() == p2.tolist()
 
 
 # ---------------------------------------------------------------------------
 # Sign agreement
 # ---------------------------------------------------------------------------
 
-def _result(index, d):
-    return ExperimentResult(index=index, effect=EffectSize(d=d, se=0.26, n1=30, n2=30))
+def _batch(cfg, ds):
+    return SimulationBatch(cfg, np.array(ds), np.full(len(ds), 0.26))
 
 
 def test_sign_agreement_constructed_quadrants():
-    pairs = (
-        (_result(0, -1.0), _result(1, -1.0)),
-        (_result(2, -1.0), _result(3, 1.0)),
-        (_result(4, 1.0), _result(5, -1.0)),
-        (_result(6, 1.0), _result(7, 1.0)),
-        (_result(8, 2.0), _result(9, 3.0)),
-    )
+    pairs = np.array([
+        (-1.0, -1.0),
+        (-1.0, 1.0),
+        (1.0, -1.0),
+        (1.0, 1.0),
+        (2.0, 3.0),
+    ])
     table = tabulate_sign_agreement(pairs)
     assert (table.mm, table.mp, table.pm, table.pp) == (1, 1, 1, 2)
     assert table.total == 5
 
 
 def test_sign_tie_binned_positive():
-    table = tabulate_sign_agreement(((_result(0, 0.0), _result(1, -1.0)),))
+    table = tabulate_sign_agreement(np.array([(0.0, -1.0)]))
     assert table.pm == 1
 
 
@@ -211,7 +247,7 @@ def test_null_scenario_sign_symmetry_across_seeds():
 
 def test_boxplot_hand_quartiles():
     cfg = small_config(runs=6)
-    batch = SimulationBatch(cfg, tuple(_result(i, float(i + 1)) for i in range(5)))
+    batch = _batch(cfg, [float(i + 1) for i in range(5)])
     stats = boxplot_summary({"x": batch})["x"]
     assert (stats.q1, stats.median, stats.q3) == (2.0, 3.0, 4.0)
     assert (stats.minimum, stats.maximum) == (1.0, 5.0)
@@ -223,7 +259,7 @@ def test_boxplot_hand_quartiles():
 def test_boxplot_flags_outliers():
     ds = [1.0, 2.0, 3.0, 4.0, 5.0, 100.0]
     cfg = small_config(runs=6)
-    batch = SimulationBatch(cfg, tuple(_result(i, d) for i, d in enumerate(ds)))
+    batch = _batch(cfg, ds)
     stats = boxplot_summary({"x": batch})["x"]
     assert stats.n_outliers == 1
     assert stats.maximum == 100.0

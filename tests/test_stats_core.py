@@ -24,13 +24,12 @@ from replikit import (
     derive_substream,
     normal_quantile,
     regularized_incomplete_beta,
-    sample_contaminated,
-    sample_normal,
     summarize,
     t_cdf,
     t_pdf,
     t_quantile,
 )
+from replikit.stats_core import draw_contaminated, draw_normal
 
 
 # ---------------------------------------------------------------------------
@@ -39,14 +38,14 @@ from replikit import (
 
 def test_same_stream_same_sequence():
     s = derive_substream(42, 0)
-    a = sample_normal(s, 0.0, 1.0, 5)
-    b = sample_normal(s, 0.0, 1.0, 5)
+    a = draw_normal(s.generator(), 0.0, 1.0, 5)
+    b = draw_normal(s.generator(), 0.0, 1.0, 5)
     assert np.array_equal(a, b)
 
 
 def test_distinct_indices_differ():
-    a = sample_normal(derive_substream(42, 0), 0.0, 1.0, 1)
-    b = sample_normal(derive_substream(42, 1), 0.0, 1.0, 1)
+    a = draw_normal(derive_substream(42, 0).generator(), 0.0, 1.0, 1)
+    b = draw_normal(derive_substream(42, 1).generator(), 0.0, 1.0, 1)
     assert a[0] != b[0]
 
 
@@ -56,7 +55,9 @@ def test_derive_substream_is_pure():
 
 
 def test_substreams_uncorrelated():
-    draws = np.array([sample_normal(derive_substream(9, i), 0.0, 1.0, 1000) for i in range(8)])
+    draws = np.array(
+        [draw_normal(derive_substream(9, i).generator(), 0.0, 1.0, 1000) for i in range(8)]
+    )
     corr = np.corrcoef(draws)
     off_diag = corr[~np.eye(8, dtype=bool)]
     assert np.abs(off_diag).max() < 0.12
@@ -76,49 +77,49 @@ def test_stream_validation():
 # ---------------------------------------------------------------------------
 
 def test_sample_normal_clt_mean():
-    x = sample_normal(derive_substream(42, 0), 100.0, 20.0, 100_000)
+    x = draw_normal(derive_substream(42, 0).generator(), 100.0, 20.0, 100_000)
     # 4 sigma bound on the sample mean: 4 * 20 / sqrt(1e5) = 0.253
     assert abs(x.mean() - 100.0) < 0.25
 
 
 def test_sample_normal_standardized_then_scaled():
     s = derive_substream(7, 3)
-    scaled = sample_normal(s, 100.0, 20.0, 64)
-    z = sample_normal(s, 0.0, 1.0, 64)
+    scaled = draw_normal(s.generator(), 100.0, 20.0, 64)
+    z = draw_normal(s.generator(), 0.0, 1.0, 64)
     assert np.array_equal(scaled, 100.0 + 20.0 * z)
 
 
 def test_sample_normal_rejects_bad_sigma():
     with pytest.raises(DomainError):
-        sample_normal(derive_substream(1, 0), 0.0, -1.0, 5)
+        draw_normal(derive_substream(1, 0).generator(), 0.0, -1.0, 5)
     with pytest.raises(DomainError):
-        sample_normal(derive_substream(1, 0), 0.0, 0.0, 5)
+        draw_normal(derive_substream(1, 0).generator(), 0.0, 0.0, 5)
 
 
 def test_sample_normal_rejects_empty():
     with pytest.raises(DomainError):
-        sample_normal(derive_substream(1, 0), 0.0, 1.0, 0)
+        draw_normal(derive_substream(1, 0).generator(), 0.0, 1.0, 0)
 
 
 def test_contaminated_epsilon_zero_matches_normal_bitwise():
     s = derive_substream(11, 4)
     spec = ContaminationSpec(epsilon=0.0, scale_mult=10.0)
     assert np.array_equal(
-        sample_contaminated(s, 100.0, 20.0, spec, 256),
-        sample_normal(s, 100.0, 20.0, 256),
+        draw_contaminated(s.generator(), 100.0, 20.0, spec, 256),
+        draw_normal(s.generator(), 100.0, 20.0, 256),
     )
 
 
 def test_contaminated_mixture_sd():
     spec = ContaminationSpec(epsilon=0.1, scale_mult=10.0)
-    x = sample_contaminated(derive_substream(42, 1), 100.0, 20.0, spec, 1_000_000)
+    x = draw_contaminated(derive_substream(42, 1).generator(), 100.0, 20.0, spec, 1_000_000)
     # mixture variance: 0.9 * 400 + 0.1 * (10*20)^2 = 4360, sd = 66.03
     assert abs(x.std(ddof=1) - math.sqrt(4360.0)) < 1.0
 
 
 def test_contaminated_epsilon_one_is_pure_wide_component():
     spec = ContaminationSpec(epsilon=1.0, scale_mult=10.0)
-    x = sample_contaminated(derive_substream(42, 2), 0.0, 20.0, spec, 100_000)
+    x = draw_contaminated(derive_substream(42, 2).generator(), 0.0, 20.0, spec, 100_000)
     assert abs(x.std(ddof=1) - 200.0) / 200.0 < 0.02
 
 
@@ -151,7 +152,7 @@ def test_summarize_rejects_single_observation():
 
 
 def test_summarize_permutation_invariant():
-    x = sample_normal(derive_substream(3, 0), 10.0, 2.0, 501)
+    x = draw_normal(derive_substream(3, 0).generator(), 10.0, 2.0, 501)
     a = summarize(x)
     b = summarize(x[::-1].copy())
     assert math.isclose(a.mean, b.mean, rel_tol=1e-12)
