@@ -5,8 +5,8 @@ its effective configuration so any published number can be reproduced from
 the output alone; in text mode the echo is commented header lines, in json
 it is a "config" key, and in csv/svg it goes to stderr.
 
-Exit codes: 0 success, 2 input/parse error, 3 domain/precondition error,
-4 numeric non-convergence.
+Exit codes: 0 success, 2 input/parse error, 3 domain/precondition error
+(out of memory included), 4 numeric non-convergence.
 """
 
 from __future__ import annotations
@@ -286,6 +286,10 @@ def main(argv: Sequence[str] | None = None) -> int:
     except OSError as exc:
         print(f"{PROG}: error: {exc}", file=sys.stderr)
         return 2
+    except MemoryError:
+        hint = "try fewer --runs or a smaller --n-per-arm"
+        print(f"{PROG}: error: out of memory; {hint}", file=sys.stderr)
+        return 3
 
 
 if __name__ == "__main__":

@@ -88,10 +88,23 @@ class Interval:
         return self.lower <= x <= self.upper
 
 
+_NON_FINITE_SD = "pooled standard deviation is not finite; d undefined"
+
+
 def pooled_sd(arm1: SampleSummary, arm2: SampleSummary) -> float:
-    """Degrees-of-freedom-weighted combination of the two arms' sds."""
+    """Degrees-of-freedom-weighted combination of the two arms' sds.
+
+    Raises DomainError when it is not finite (the variances overflow for sds
+    above about 1e154), the same rule as ``cohens_d_rows``.
+    """
     df = arm1.n + arm2.n - 2
-    return math.sqrt(((arm1.n - 1) * arm1.sd**2 + (arm2.n - 1) * arm2.sd**2) / df)
+    try:
+        sp = math.sqrt(((arm1.n - 1) * arm1.sd**2 + (arm2.n - 1) * arm2.sd**2) / df)
+    except OverflowError:  # float ``**`` raises where numpy would give inf
+        sp = math.inf
+    if not math.isfinite(sp):
+        raise DomainError(_NON_FINITE_SD)
+    return sp
 
 
 def standard_error_d(d: float, n1: int, n2: int) -> float:
@@ -136,8 +149,11 @@ def cohens_d_rows(
         raise DomainError("mean and sd must be finite")
     # np.float_power is libm pow, like the scalar ``sd**2``; numpy's ``sd**2``
     # is sd*sd, which differs in the last bit for about 0.1 % of values.
-    var_sum = (n1 - 1) * np.float_power(sd1, 2.0) + (n2 - 1) * np.float_power(sd2, 2.0)
+    with np.errstate(over="ignore"):
+        var_sum = (n1 - 1) * np.float_power(sd1, 2.0) + (n2 - 1) * np.float_power(sd2, 2.0)
     sp = np.sqrt(var_sum / (n1 + n2 - 2))
+    if not np.isfinite(sp).all():
+        raise DomainError(_NON_FINITE_SD)
     if not sp.all():
         raise DegenerateSampleError("pooled standard deviation is zero; d undefined")
     d = (mean1 - mean2) / sp

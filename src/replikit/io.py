@@ -72,7 +72,11 @@ def parse_study_csv(content: str | bytes) -> list[StudySummary]:
             raise ParseError(f"study file is not valid UTF-8: {exc}") from None
     reader = csv.reader(_stdio.StringIO(content))
     try:
-        header = next(reader)
+        rows = iter(list(reader))
+    except csv.Error as exc:
+        raise ParseError(f"study file is not valid CSV at line {reader.line_num}: {exc}") from None
+    try:
+        header = next(rows)
     except StopIteration:
         raise ParseError("study file is empty (no header row)") from None
     header = [h.strip() for h in header]
@@ -90,7 +94,7 @@ def parse_study_csv(content: str | bytes) -> list[StudySummary]:
         )
 
     studies: list[StudySummary] = []
-    for row_num, row in enumerate(reader, start=1):
+    for row_num, row in enumerate(rows, start=1):
         if not row or all(cell.strip() == "" for cell in row):
             continue
         if len(row) != len(STUDY_COLUMNS):
@@ -300,10 +304,11 @@ def config_dict(batch: SimulationBatch) -> dict[str, object]:
 
 
 def batch_to_csv(batch: SimulationBatch) -> str:
-    buf = _stdio.StringIO()
-    writer = csv.writer(buf)
-    writer.writerow(["index", "d", "se", "n1", "n2"])
+    """One ``index,d,se,n1,n2`` row per experiment, in ``csv.writer``'s
+    dialect: ``\r\n`` line ends, and no field needs quoting."""
     n = batch.config.n_per_arm
-    for i, (d, se) in enumerate(zip(batch.d.tolist(), batch.se.tolist())):
-        writer.writerow([i, repr(d), repr(se), n, n])
-    return buf.getvalue()
+    rows = [
+        f"{i},{d!r},{se!r},{n},{n}\r\n"
+        for i, (d, se) in enumerate(zip(batch.d.tolist(), batch.se.tolist()))
+    ]
+    return "index,d,se,n1,n2\r\n" + "".join(rows)

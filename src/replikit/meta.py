@@ -133,10 +133,15 @@ def fixed_effect_pool(studies: Sequence[StudySummary], level: float = 0.95) -> M
     ds, weights = _effects_and_weights(studies)
     w_total = sum(weights)
     pooled_d = sum(w * d for d, w in zip(ds, weights)) / w_total
+    try:
+        q = sum(w * (d - pooled_d) ** 2 for d, w in zip(ds, weights))
+    except OverflowError:  # float ``**`` raises where numpy would give inf
+        q = math.inf
+    if not (math.isfinite(pooled_d) and math.isfinite(q)):
+        raise DomainError("pooled d or Q is not finite; the effect sizes are too large to pool")
     pooled_se = math.sqrt(1.0 / w_total)
     z = normal_quantile((1.0 + level) / 2.0)
     ci = Interval(pooled_d - z * pooled_se, pooled_d + z * pooled_se, level)
-    q = sum(w * (d - pooled_d) ** 2 for d, w in zip(ds, weights))
     df = len(ds) - 1
     i2 = max(0.0, (q - df) / q) if q > 0 and df >= 1 else 0.0
     return MetaResult(
@@ -172,15 +177,28 @@ def forest_model(studies: Sequence[StudySummary], pooled: MetaResult) -> ForestP
     )
     lows = [r.ci.lower for r in rows] + [pooled.ci.lower]
     highs = [r.ci.upper for r in rows] + [pooled.ci.upper]
-    lo, hi = min(lows), max(highs)
-    pad = 0.05 * (hi - lo) if hi > lo else 0.5
+    axis_lo, axis_hi = axis_range(min(lows), max(highs))
     return ForestPlotSpec(
         rows=rows,
         pooled_d=pooled.pooled_d,
         pooled_ci=pooled.ci,
-        axis_lo=lo - pad,
-        axis_hi=hi + pad,
+        axis_lo=axis_lo,
+        axis_hi=axis_hi,
     )
+
+
+def axis_range(lo: float, hi: float) -> tuple[float, float]:
+    """Plot axis covering [lo, hi], padded by 5% of its span.
+
+    A point (lo == hi) is padded by 0.5 or 5% of its magnitude, whichever is
+    larger, so that the padding is not lost to rounding. Raises DomainError
+    when the padded axis is not a finite range of positive width.
+    """
+    pad = 0.05 * (hi - lo) if hi > lo else max(0.5, 0.05 * abs(hi))
+    axis_lo, axis_hi = lo - pad, hi + pad
+    if not (math.isfinite(axis_lo) and math.isfinite(axis_hi) and axis_lo < axis_hi):
+        raise DomainError(f"cannot plot effects spanning [{lo!r}, {hi!r}] on a finite axis")
+    return axis_lo, axis_hi
 
 
 def funnel_data(studies: Sequence[StudySummary]) -> FunnelData:

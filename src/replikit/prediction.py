@@ -43,7 +43,12 @@ def prediction_interval(design: ReplicationDesign) -> Interval:
     se_rep = standard_error_d(orig.d, design.n1_rep, design.n2_rep)
     df = orig.n1 + orig.n2 - 2
     tq = t_quantile((1.0 + design.level) / 2.0, df)
-    half_width = tq * math.sqrt(orig.se**2 + se_rep**2)
+    try:
+        half_width = tq * math.sqrt(orig.se**2 + se_rep**2)
+    except OverflowError:  # float ``**`` raises where numpy would give inf
+        half_width = math.inf
+    if not math.isfinite(half_width):
+        raise DomainError("prediction interval half-width is not finite")
     return Interval(orig.d - half_width, orig.d + half_width, design.level)
 
 

@@ -18,13 +18,7 @@ import numpy as np
 
 from .effect_size import EffectCategory, classify, cohens_d_rows
 from .errors import DomainError, InsufficientDataError, PairingError
-from .stats_core import (
-    ContaminationSpec,
-    RandomStream,
-    derive_substream,
-    draw_contaminated,
-    draw_normal,
-)
+from .stats_core import ContaminationSpec, RandomStream, derive_substream, draw_rows
 
 _UINT64_MAX = 2**64 - 1
 
@@ -106,23 +100,17 @@ def run_simulation(config: SimulationConfig, workers: int = 1) -> SimulationBatc
     Experiment i always uses ``derive_substream(master_seed, i)``: its first
     n_per_arm draws, shifted by the true effect, are arm X and the rest are
     arm Y, so the batch depends only on the config. ``workers`` is accepted
-    for compatibility and ignored: each chunk is reduced by vectorised numpy
-    calls, and the per-row generator set-up is Python work that holds the GIL.
+    for compatibility and ignored: each chunk is drawn by re-keying one
+    Philox per row and reduced by vectorised numpy calls, and that re-keying
+    loop is the remaining per-experiment Python work, which holds the GIL.
     """
     n = config.n_per_arm
-    spec = config.contamination
     d = np.empty(config.runs)
     se = np.empty(config.runs)
     rows = max(1, _CHUNK_DRAWS // (2 * n))
     for start in range(0, config.runs, rows):
         stop = min(start + rows, config.runs)
-        z = np.empty((stop - start, 2 * n))
-        for row, i in enumerate(range(start, stop)):
-            gen = derive_substream(config.master_seed, i).generator()
-            if spec is None:
-                z[row] = draw_normal(gen, 0.0, 1.0, 2 * n)
-            else:
-                z[row] = draw_contaminated(gen, 0.0, 1.0, spec, 2 * n)
+        z = draw_rows(config.master_seed, range(start, stop), 0.0, 1.0, 2 * n, config.contamination)
         x, y = z[:, :n], z[:, n:]
         # Non-finite rows are rejected by the kernel, not warned about.
         with np.errstate(all="ignore"):

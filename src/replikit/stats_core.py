@@ -44,15 +44,33 @@ class RandomStream:
 
     def generator(self) -> np.random.Generator:
         """Materialize a fresh generator positioned at the start of the stream."""
-        # Counter-based Philox keyed on (seed, index): substreams are
-        # independent of thread count and scheduling by construction.
-        key = np.array([self.master_seed, self.stream_index], dtype=np.uint64)
-        return np.random.Generator(np.random.Philox(key=key))
+        bitgen = np.random.Philox(0)
+        bitgen.state = _philox_state(self.master_seed, self.stream_index)
+        return np.random.Generator(bitgen)
 
 
 def derive_substream(master_seed: int, index: int) -> RandomStream:
     """Deterministically derive the ``index``-th substream of ``master_seed``."""
     return RandomStream(master_seed, index)
+
+
+def _philox_state(master_seed: int, index: int) -> dict:
+    # Counter-based Philox keyed on (seed, index): substreams are independent
+    # of thread count and scheduling by construction. This is the state a
+    # fresh Philox(key=[seed, index]) starts from (counter 0, empty buffer);
+    # assigning it re-keys a bit generator without building a new one, and
+    # without the OS-entropy SeedSequence that Philox(key=...) also runs.
+    return {
+        "bit_generator": "Philox",
+        "state": {
+            "counter": np.zeros(4, dtype=np.uint64),
+            "key": np.array([master_seed, index], dtype=np.uint64),
+        },
+        "buffer": np.zeros(4, dtype=np.uint64),
+        "buffer_pos": 4,
+        "has_uint32": 0,
+        "uinteger": 0,
+    }
 
 
 # ---------------------------------------------------------------------------
@@ -121,6 +139,47 @@ def draw_contaminated(
     u = gen.random(n)
     scale = np.where(u < spec.epsilon, spec.scale_mult, 1.0)
     return mu + sigma * (scale * z)
+
+
+def draw_rows(
+    master_seed: int,
+    indices: range,
+    mu: float,
+    sigma: float,
+    n: int,
+    spec: ContaminationSpec | None = None,
+) -> np.ndarray:
+    """One row of n draws per substream in ``indices``, as a (len(indices), n) matrix.
+
+    Row r equals ``draw_normal`` (or, given ``spec``, ``draw_contaminated``)
+    on ``derive_substream(master_seed, indices[r]).generator()``: one Philox
+    is re-keyed for each row instead of being built per substream.
+    """
+    _check_sampling_args(sigma, n)
+    if indices:
+        # A range is monotone: if both ends are valid substreams, all are.
+        derive_substream(master_seed, indices[0])
+        derive_substream(master_seed, indices[-1])
+    z = np.empty((len(indices), n))
+    u = None if spec is None else np.empty_like(z)
+    state = _philox_state(master_seed, 0)
+    key = state["state"]["key"]
+    bitgen = np.random.Philox(0)
+    gen = np.random.Generator(bitgen)
+    for row, i in enumerate(indices):
+        key[1] = i
+        bitgen.state = state
+        # z before u, per row, as in draw_contaminated.
+        gen.standard_normal(out=z[row])
+        if u is not None:
+            gen.random(out=u[row])
+    # In place, the same doubles as the kernels' mu + sigma * (scale * z):
+    # scale is scale_mult where u < epsilon, and 1.0 * z == z elsewhere.
+    if u is not None:
+        np.multiply(z, spec.scale_mult, out=z, where=u < spec.epsilon)
+    z *= sigma
+    z += mu
+    return z
 
 
 def summarize(sample: Sequence[float] | np.ndarray) -> SampleSummary:

@@ -8,7 +8,7 @@ from __future__ import annotations
 
 import math
 
-from .meta import ForestPlotSpec, FunnelData
+from .meta import ForestPlotSpec, FunnelData, axis_range
 
 WIDTH = 720.0
 HEIGHT_PER_ROW = 28.0
@@ -112,10 +112,7 @@ def render_funnel_svg(data: FunnelData) -> str:
     plot_bottom = height - MARGIN_BOTTOM
     ds = [p[0] for p in data.points]
     ses = [p[1] for p in data.points]
-    d_span = max(ds + [data.pooled_d]) - min(ds + [data.pooled_d])
-    pad = 0.05 * d_span if d_span > 0 else 0.5
-    lo = min(ds + [data.pooled_d]) - pad
-    hi = max(ds + [data.pooled_d]) + pad
+    lo, hi = axis_range(min(ds + [data.pooled_d]), max(ds + [data.pooled_d]))
     se_max = max(ses) * 1.05
 
     def y_of(se: float) -> float:

@@ -74,6 +74,15 @@ def test_effect_svg_rejected(capsys):
     assert "error" in capsys.readouterr().err
 
 
+NON_FINITE_SD_ERROR = "replikit: error: pooled standard deviation is not finite; d undefined\n"
+
+
+def test_effect_overflowing_sd_exits_3_with_one_line(capsys):
+    args = ["effect", "--n1", "30", "--mean1", "1", "--sd1", "1e200"]
+    assert main(args + ["--n2", "30", "--mean2", "0", "--sd2", "1"]) == 3
+    assert capsys.readouterr() == ("", NON_FINITE_SD_ERROR)
+
+
 def test_effect_bad_arm_exits_3(capsys):
     rc = main([
         "effect",
@@ -168,6 +177,19 @@ def test_simulate_non_finite_experiment_exits_3_with_one_line(effect, capsys):
     assert captured.err == "replikit: error: mean and sd must be finite\n"
     # A warning would reach stderr as extra lines outside pytest.
     assert [str(w.message) for w in caught] == []
+
+
+def test_simulate_out_of_memory_exits_3_with_one_line(monkeypatch, capsys):
+    def exhausted(*args, **kwargs):
+        raise MemoryError
+
+    # Stands in for the np.empty that fails on a batch too large for memory.
+    monkeypatch.setattr("replikit.cli.run_simulation", exhausted)
+    assert main(["simulate", "--runs", "100000000000"]) == 3
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("replikit: error: out of memory")
+    assert captured.err.count("\n") == 1
 
 
 def test_simulate_bad_effect_name_exits_2(capsys):
@@ -278,6 +300,23 @@ def test_bad_study_row_exits_2(command, row, tmp_path, capsys):
     path.write_text(STUDY_HEADER + "\n" + row + "\n", encoding="utf-8")
     assert main([command, str(path)]) == 2
     assert capsys.readouterr().err.startswith("replikit: error: row 1: ")
+
+
+@pytest.mark.parametrize("command", ["meta", "forest", "funnel"])
+def test_overflowing_arm_sd_row_exits_3_with_one_line(command, tmp_path, capsys):
+    path = tmp_path / "wide.csv"
+    path.write_text(STUDY_HEADER + "\ns1,a,30,30,1,0,1e200,1,,\n", encoding="utf-8")
+    assert main([command, str(path)]) == 3
+    assert capsys.readouterr() == ("", NON_FINITE_SD_ERROR)
+
+
+@pytest.mark.parametrize("command", ["forest", "funnel"])
+def test_single_study_far_from_zero_renders(command, tmp_path, capsys):
+    # The interval and a 0.5 pad both round away at this magnitude.
+    path = tmp_path / "far.csv"
+    path.write_text(STUDY_HEADER + "\ns1,a,,,,,,,1.8014398509481988e+16,1.0\n", encoding="utf-8")
+    assert main([command, str(path)]) == 0
+    assert capsys.readouterr().out.startswith("<svg")
 
 
 def test_forest_single_precise_study_renders(tmp_path, capsys):

@@ -1,0 +1,162 @@
+"""Property: every CLI input either gives a result or exits 2, 3 or 4.
+
+Generated argv and study-CSV bytes drive ``main()``, which must return 0, 2,
+3 or 4, never raise, warn nothing, and print one stderr line on exit 3 or 4.
+Simulation sizes are bounded so that no example allocates much, and every
+file an example names lives in its own temporary directory.
+"""
+
+import contextlib
+import io
+import os
+import tempfile
+import warnings
+
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from replikit.cli import main
+
+EXIT_CODES = {0, 2, 3, 4}
+# Generated argv names files by these names; each example maps them into its
+# own temporary directory.
+FILE_NAMES = ("studies.csv", "plot.svg", "batch.csv")
+
+
+def weighted(*pairs):
+    """Draw from one of the strategies, each chosen in proportion to its weight."""
+    return st.sampled_from([s for w, s in pairs for _ in range(w)]).flatmap(lambda s: s)
+
+
+SPECIAL = ["", "x", "nan", "inf", "-inf", "1e400", "-0", "1e-200", "1e200", "0x10", " 3 "]
+finite = st.floats(allow_nan=False, allow_infinity=False).map(repr)
+powers = st.integers(-330, 310).map(lambda e: f"1e{e}")  # every magnitude, to under/overflow
+magnitudes = st.one_of(st.floats(min_value=0.0, allow_infinity=False).map(repr), powers)
+numbers = weighted(
+    (4, finite),
+    (2, powers),
+    (1, st.floats().map(repr)),
+    (1, st.integers(-(10**6), 10**6).map(str)),
+    (1, st.sampled_from(SPECIAL)),
+)
+# Counts and sizes: small, or malformed; never a large allocation. Required
+# options are always given (leaving one out is an argparse exit 2).
+sizes = weighted(
+    (6, st.integers(2, 120).map(str)),
+    (1, st.integers(-4, 1).map(str)),
+    (1, st.sampled_from(["", "x", "2.5", "1e3"])),
+)
+levels = weighted((3, st.floats(0.01, 0.999).map(repr)), (1, numbers))
+sds = weighted((3, magnitudes), (1, numbers))
+seeds = st.one_of(
+    st.integers(0, 99).map(str), st.sampled_from(["-1", "0", str(2**64 - 1), str(2**64), "x"])
+)
+table_formats = st.sampled_from(["text", "csv", "json"] * 2 + ["svg", "yaml"])
+plot_formats = st.sampled_from(["svg"] * 4 + ["text", "yaml"])
+
+
+def required(name, values):
+    # One ``--name=value`` token: argparse reads a separate "-1e-05" as a flag.
+    return values.map(lambda v: [f"{name}={v}"])
+
+
+def option(name, values):
+    """``[]`` or ``["--name=value"]``: an option that may be left out."""
+    return st.one_of(st.just([]), required(name, values))
+
+
+def command(name, *options, formats=table_formats):
+    common = [option("--seed", seeds), option("--format", formats), option("--level", levels)]
+    parts = st.tuples(*options, *common, st.permutations(range(len(options) + len(common))))
+    return parts.map(lambda p: [name] + [tok for k in p[-1] for tok in p[k]])
+
+
+effect_argv = command(
+    "effect",
+    *(required(f"--{arg}{arm}", values)
+      for arm in "12" for arg, values in (("n", sizes), ("mean", numbers), ("sd", sds))),
+    st.sampled_from([[], ["--hedges"]]),
+)
+simulate_argv = command(
+    "simulate",
+    required("--runs", sizes),
+    option("--n-per-arm", sizes),
+    option("--effect", st.one_of(st.sampled_from(["none", "small", "bogus"]), numbers)),
+    option("--dist", st.sampled_from(["normal", "mixed", "cauchy"])),
+    option("--epsilon", weighted((3, st.floats(0.0, 1.0).map(repr)), (1, numbers))),
+    option("--scale-mult", weighted((3, st.floats(1.01, 100.0).map(repr)), (1, numbers))),
+    option("--mu", numbers),
+    option("--sigma", sds),
+    option("--workers", st.sampled_from(["-1", "0", "2", "10000", "x"])),
+    option("--dump-batch", st.just("batch.csv")),
+)
+pi_argv = command(
+    "pi",
+    required("--d", numbers),
+    required("--n1", sizes),
+    required("--n2", sizes),
+    option("--se", sds),
+    required("--rep-n1", sizes),
+    required("--rep-n2", sizes),
+    option("--check", numbers),
+)
+study_argv = st.one_of(
+    command("meta", st.just(["studies.csv"])),
+    st.sampled_from(["forest", "funnel"]).flatmap(
+        lambda name: command(
+            name, st.just(["studies.csv"]), option("--output", st.just("plot.svg")), formats=plot_formats
+        )
+    ),
+)
+free_argv = st.lists(
+    st.sampled_from(
+        ["effect", "simulate", "pi", "meta", "forest", "funnel", "--help", "-h", "--format",
+         "json", "--bogus", "--", "-", "studies.csv", "--n1", "--d", "nan"]
+    ),
+    max_size=5,
+)
+argvs = st.one_of(effect_argv, simulate_argv, pi_argv, study_argv, free_argv)
+
+HEADER = "study_id,label,n1,n2,mean1,mean2,sd1,sd2,d,se"
+# Mostly well-formed rows of either input form, so that parsing often
+# succeeds and the numbers reach pooling and plotting.
+arm_sizes = st.one_of(st.integers(2, 500).map(str), sizes)
+arm_fields = st.tuples(arm_sizes, arm_sizes, finite, finite, magnitudes, magnitudes).map(
+    lambda r: [*r, "", ""]
+)
+direct_fields = st.tuples(
+    st.one_of(st.just(""), sizes), st.one_of(st.just(""), sizes), finite, magnitudes
+).map(lambda r: [r[0], r[1], "", "", "", "", r[2], r[3]])
+any_fields = st.lists(st.one_of(st.just(""), numbers), min_size=8, max_size=8)
+study_rows = st.tuples(
+    st.sampled_from(["s1", "s2", "s3"]),
+    st.text(max_size=4),
+    weighted((2, arm_fields), (2, direct_fields), (1, any_fields)),
+).map(lambda r: ",".join([r[0], r[1], *r[2]]))
+study_text = st.tuples(
+    st.sampled_from([HEADER] * 4 + [HEADER.replace(",se", ""), ""]),
+    st.lists(study_rows, max_size=5),
+    st.sampled_from(["\n", "\r\n"]),
+).map(lambda t: t[2].join([t[0], *t[1]]) + t[2])
+study_bytes = weighted((3, study_text.map(str.encode)), (1, st.binary(max_size=64)))
+
+
+@settings(max_examples=300, deadline=None)
+@given(argv=argvs, content=study_bytes)
+def test_main_returns_an_exit_code_and_never_raises(argv, content):
+    out, err = io.StringIO(), io.StringIO()
+    with tempfile.TemporaryDirectory() as workdir:
+        files = {name: os.path.join(workdir, name) for name in FILE_NAMES}
+        with open(files["studies.csv"], "wb") as handle:
+            handle.write(content)
+        for name, path in files.items():
+            argv = [tok.replace(name, path) for tok in argv]
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+            with warnings.catch_warnings(record=True) as caught:
+                warnings.simplefilter("always")
+                rc = main(argv)
+    assert rc in EXIT_CODES, (rc, err.getvalue())
+    assert [str(w.message) for w in caught] == []
+    if rc in (3, 4):
+        assert err.getvalue().startswith("replikit: error: ")
+        assert err.getvalue().count("\n") == 1, err.getvalue()

@@ -1,6 +1,7 @@
 """Effect-size computation, classification, and confidence intervals."""
 
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -114,6 +115,21 @@ def test_d_rows_reject_zero_pooled_sd_in_any_row():
 def test_d_rows_reject_non_finite_summaries(mean1, sd1):
     with pytest.raises(DomainError, match="mean and sd"):
         rows(mean1, sd1, [0.0, 0.0], [1.0, 1.0])
+
+
+@pytest.mark.parametrize("sd1", [1e154, 1e200, 1.7e308])
+def test_non_finite_pooled_sd_rejected_alike_by_scalar_and_row_paths(sd1):
+    arm1, arm2 = SampleSummary(30, 1.0, sd1), SampleSummary(30, 0.0, 1.0)
+    message = "pooled standard deviation is not finite"
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(DomainError, match=message) as scalar:
+            pooled_sd(arm1, arm2)
+        with pytest.raises(DomainError, match=message):
+            cohens_d(arm1, arm2)
+        with pytest.raises(DomainError, match=message) as batch:
+            rows([1.0], [sd1], [0.0], [1.0], n=30)
+    assert str(batch.value) == str(scalar.value)
 
 
 def test_d_rows_reject_overflowing_d():

@@ -159,6 +159,12 @@ def test_parse_rejects_underflowing_se():
         parse_study_csv(text)
 
 
+def test_parse_rejects_malformed_csv_with_line_number():
+    # A bare carriage return inside an unquoted field is a csv.Error.
+    with pytest.raises(ParseError, match="not valid CSV at line 2"):
+        parse_study_csv(HEADER + "\ns1,\r,,,,,,,0.0,0.1\n")
+
+
 def test_parse_rejects_empty_study_id():
     text = HEADER + "\n,a,,,,,,,0.1,0.2\n"
     with pytest.raises(ParseError, match="'study_id'"):

@@ -16,6 +16,7 @@ from replikit import (
     forest_model,
     funnel_data,
 )
+from replikit.meta import axis_range
 
 
 def direct(study_id, d, se, label=None):
@@ -61,6 +62,35 @@ def test_direct_se_whose_weight_is_not_finite_and_positive_rejected(se):
 def test_direct_se_at_the_bounds_pools_finitely():
     pooled = fixed_effect_pool([direct("a", 0.5, 2.0**-511), direct("b", 0.5, 2.0**511)])
     assert math.isfinite(pooled.pooled_d) and math.isfinite(pooled.pooled_se)
+
+
+@pytest.mark.parametrize(
+    "studies",
+    [
+        # Q's squared deviation overflows.
+        [direct("a", 0.0, 1.0), direct("b", 0.0, 1.0), direct("c", 2.0e154, 1.0)],
+        # w * d overflows, so pooled d is inf.
+        [direct("a", 1e308, 2.0**-511)],
+    ],
+)
+def test_effects_too_large_to_pool_rejected(studies):
+    for pool in (fixed_effect_pool, funnel_data):
+        with pytest.raises(DomainError, match="pooled d or Q is not finite"):
+            pool(studies)
+
+
+@pytest.mark.parametrize("d", [1.0, -2.0**54, 2.0**54, 1e300])
+def test_axis_padding_of_a_point_survives_rounding(d):
+    # At 2^54 the spacing of doubles is 4: d +/- 0.5 rounds back to d.
+    lo, hi = axis_range(d, d)
+    assert lo < d < hi
+
+
+def test_axis_range_rejects_an_axis_that_overflows():
+    with pytest.raises(DomainError, match="finite axis"):
+        axis_range(1.7976931348623157e308, 1.7976931348623157e308)
+    with pytest.raises(DomainError, match="finite axis"):
+        axis_range(-1e308, 1e308)
 
 
 @pytest.mark.parametrize("n1, n2", [(-5, 0), (30, 1), (1, 30)])

@@ -76,6 +76,23 @@ def test_chunk_boundaries_do_not_change_rows(monkeypatch):
     assert columns(run_simulation(cfg)) == whole
 
 
+def test_philox_constructions_do_not_grow_with_runs(monkeypatch):
+    real, built = np.random.Philox, []
+
+    def counting_philox(*args, **kwargs):
+        built.append(1)
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(np.random, "Philox", counting_philox)
+    counts = []
+    for runs in (2, 2000):
+        built.clear()
+        run_simulation(small_config(runs=runs, contamination=ContaminationSpec()))
+        counts.append(len(built))
+    # Both batches fit in one chunk, and the engine re-keys one Philox per chunk.
+    assert counts[0] == counts[1] >= 1
+
+
 def test_batch_columns_are_read_only():
     d = np.array([0.1, -0.2])
     batch = SimulationBatch(small_config(runs=2), d, np.array([0.26, 0.26]))

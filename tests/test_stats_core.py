@@ -7,6 +7,7 @@ tolerances were set from measured deviations with a 10-100x safety factor.
 """
 
 import math
+import random
 
 import numpy as np
 import pytest
@@ -29,7 +30,7 @@ from replikit import (
     t_pdf,
     t_quantile,
 )
-from replikit.stats_core import draw_contaminated, draw_normal
+from replikit.stats_core import draw_contaminated, draw_normal, draw_rows
 
 
 # ---------------------------------------------------------------------------
@@ -70,6 +71,69 @@ def test_stream_validation():
         RandomStream(0, -1)
     with pytest.raises(DomainError):
         RandomStream(2**64, 0)
+
+
+def freshly_keyed(seed, index):
+    """A generator on a newly built Philox keyed [seed, index]."""
+    return np.random.Generator(np.random.Philox(key=np.array([seed, index], dtype=np.uint64)))
+
+
+def bits(a):
+    return np.asarray(a, dtype=float).view(np.uint64).tolist()
+
+
+@pytest.mark.parametrize("seed, index", [(0, 0), (42, 7), (123, 2**40), (2**64 - 1, 2**64 - 1)])
+def test_generator_matches_a_freshly_keyed_philox(seed, index):
+    ours, fresh = derive_substream(seed, index).generator(), freshly_keyed(seed, index)
+    assert bits(ours.standard_normal(33)) == bits(fresh.standard_normal(33))
+    assert bits(ours.random(7)) == bits(fresh.random(7))
+    # 32-bit draws go through the bit generator's uint32 buffer.
+    assert ours.integers(0, 10, 5, dtype=np.int32).tolist() == fresh.integers(
+        0, 10, 5, dtype=np.int32
+    ).tolist()
+
+
+def test_streams_read_no_os_entropy(monkeypatch):
+    def refuse(n):
+        raise AssertionError("OS entropy read")
+
+    # SeedSequence() gathers entropy through random._urandom.
+    monkeypatch.setattr(random, "_urandom", refuse)
+    with pytest.raises(AssertionError, match="OS entropy"):
+        freshly_keyed(1, 2)
+    derive_substream(1, 2).generator().standard_normal(3)
+    draw_rows(1, range(3), 0.0, 1.0, 4, ContaminationSpec())
+
+
+@pytest.mark.parametrize(
+    "spec",
+    [None, ContaminationSpec(0.1, 10.0), ContaminationSpec(0.0, 10.0), ContaminationSpec(1.0, 3.0)],
+)
+@pytest.mark.parametrize("indices", [range(0, 5), range(2**64 - 3, 2**64), range(40, 10, -7)])
+def test_draw_rows_match_the_single_stream_kernels(spec, indices):
+    mu, sigma, n = 100.0, 20.0, 37
+    z = draw_rows(9, indices, mu, sigma, n, spec)
+    assert z.shape == (len(indices), n)
+    for row, i in enumerate(indices):
+        gen = freshly_keyed(9, i)
+        if spec is None:
+            expected = draw_normal(gen, mu, sigma, n)
+        else:
+            expected = draw_contaminated(gen, mu, sigma, spec, n)
+        assert bits(z[row]) == bits(expected), i
+
+
+def test_draw_rows_validate_like_the_kernels():
+    assert draw_rows(1, range(0), 0.0, 1.0, 3).shape == (0, 3)
+    for indices in (range(2**64 - 1, 2**64 + 1), range(-1, 2)):
+        with pytest.raises(DomainError):
+            draw_rows(1, indices, 0.0, 1.0, 3)
+    with pytest.raises(DomainError):
+        draw_rows(2**64, range(2), 0.0, 1.0, 3)
+    with pytest.raises(DomainError):
+        draw_rows(1, range(2), 0.0, 0.0, 3)
+    with pytest.raises(DomainError):
+        draw_rows(1, range(2), 0.0, 1.0, 0)
 
 
 # ---------------------------------------------------------------------------
