@@ -287,8 +287,7 @@ def main(argv: Sequence[str] | None = None) -> int:
         print(f"{PROG}: error: {exc}", file=sys.stderr)
         return 2
     except MemoryError:
-        hint = "try fewer --runs or a smaller --n-per-arm"
-        print(f"{PROG}: error: out of memory; {hint}", file=sys.stderr)
+        print(f"{PROG}: error: out of memory", file=sys.stderr)
         return 3
 
 

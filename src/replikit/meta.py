@@ -137,8 +137,8 @@ def fixed_effect_pool(studies: Sequence[StudySummary], level: float = 0.95) -> M
         q = sum(w * (d - pooled_d) ** 2 for d, w in zip(ds, weights))
     except OverflowError:  # float ``**`` raises where numpy would give inf
         q = math.inf
-    if not (math.isfinite(pooled_d) and math.isfinite(q)):
-        raise DomainError("pooled d or Q is not finite; the effect sizes are too large to pool")
+    if not (math.isfinite(w_total) and math.isfinite(pooled_d) and math.isfinite(q)):
+        raise DomainError("pooled d, se or Q is not finite; the studies are too large to pool")
     pooled_se = math.sqrt(1.0 / w_total)
     z = normal_quantile((1.0 + level) / 2.0)
     ci = Interval(pooled_d - z * pooled_se, pooled_d + z * pooled_se, level)

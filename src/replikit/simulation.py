@@ -110,7 +110,7 @@ def run_simulation(config: SimulationConfig, workers: int = 1) -> SimulationBatc
     rows = max(1, _CHUNK_DRAWS // (2 * n))
     for start in range(0, config.runs, rows):
         stop = min(start + rows, config.runs)
-        z = draw_rows(config.master_seed, range(start, stop), 0.0, 1.0, 2 * n, config.contamination)
+        z = draw_rows(config.master_seed, range(start, stop), 2 * n, config.contamination)
         x, y = z[:, :n], z[:, n:]
         # Non-finite rows are rejected by the kernel, not warned about.
         with np.errstate(all="ignore"):

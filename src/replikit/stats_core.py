@@ -142,20 +142,17 @@ def draw_contaminated(
 
 
 def draw_rows(
-    master_seed: int,
-    indices: range,
-    mu: float,
-    sigma: float,
-    n: int,
-    spec: ContaminationSpec | None = None,
+    master_seed: int, indices: range, n: int, spec: ContaminationSpec | None = None
 ) -> np.ndarray:
-    """One row of n draws per substream in ``indices``, as a (len(indices), n) matrix.
+    """One row of n standard draws per substream in ``indices``, as a (len(indices), n) matrix.
 
-    Row r equals ``draw_normal`` (or, given ``spec``, ``draw_contaminated``)
-    on ``derive_substream(master_seed, indices[r]).generator()``: one Philox
-    is re-keyed for each row instead of being built per substream.
+    Row r equals ``draw_normal(gen, 0.0, 1.0, n)`` (or, given ``spec``,
+    ``draw_contaminated(gen, 0.0, 1.0, spec, n)``) on
+    ``derive_substream(master_seed, indices[r]).generator()``: one Philox is
+    re-keyed for each row instead of being built per substream.
     """
-    _check_sampling_args(sigma, n)
+    if n < 1:
+        raise DomainError(f"n must be >= 1, got {n}")
     if indices:
         # A range is monotone: if both ends are valid substreams, all are.
         derive_substream(master_seed, indices[0])
@@ -173,12 +170,10 @@ def draw_rows(
         gen.standard_normal(out=z[row])
         if u is not None:
             gen.random(out=u[row])
-    # In place, the same doubles as the kernels' mu + sigma * (scale * z):
-    # scale is scale_mult where u < epsilon, and 1.0 * z == z elsewhere.
+    # In place, the same doubles as the kernel's scale * z: scale is
+    # scale_mult where u < epsilon, and 1.0 * z == z elsewhere.
     if u is not None:
         np.multiply(z, spec.scale_mult, out=z, where=u < spec.epsilon)
-    z *= sigma
-    z += mu
     return z
 
 

@@ -71,11 +71,14 @@ def test_direct_se_at_the_bounds_pools_finitely():
         [direct("a", 0.0, 1.0), direct("b", 0.0, 1.0), direct("c", 2.0e154, 1.0)],
         # w * d overflows, so pooled d is inf.
         [direct("a", 1e308, 2.0**-511)],
+        # Each weight is 2^1022, so the weight sum is inf: pooled d would
+        # read 0 with se 0, though every study says 0.5.
+        [direct(label, 0.5, 2.0**-511) for label in "abcd"],
     ],
 )
 def test_effects_too_large_to_pool_rejected(studies):
     for pool in (fixed_effect_pool, funnel_data):
-        with pytest.raises(DomainError, match="pooled d or Q is not finite"):
+        with pytest.raises(DomainError, match="pooled d, se or Q is not finite"):
             pool(studies)
 
 

@@ -102,7 +102,7 @@ def test_streams_read_no_os_entropy(monkeypatch):
     with pytest.raises(AssertionError, match="OS entropy"):
         freshly_keyed(1, 2)
     derive_substream(1, 2).generator().standard_normal(3)
-    draw_rows(1, range(3), 0.0, 1.0, 4, ContaminationSpec())
+    draw_rows(1, range(3), 4, ContaminationSpec())
 
 
 @pytest.mark.parametrize(
@@ -111,29 +111,27 @@ def test_streams_read_no_os_entropy(monkeypatch):
 )
 @pytest.mark.parametrize("indices", [range(0, 5), range(2**64 - 3, 2**64), range(40, 10, -7)])
 def test_draw_rows_match_the_single_stream_kernels(spec, indices):
-    mu, sigma, n = 100.0, 20.0, 37
-    z = draw_rows(9, indices, mu, sigma, n, spec)
+    n = 37
+    z = draw_rows(9, indices, n, spec)
     assert z.shape == (len(indices), n)
     for row, i in enumerate(indices):
         gen = freshly_keyed(9, i)
         if spec is None:
-            expected = draw_normal(gen, mu, sigma, n)
+            expected = draw_normal(gen, 0.0, 1.0, n)
         else:
-            expected = draw_contaminated(gen, mu, sigma, spec, n)
+            expected = draw_contaminated(gen, 0.0, 1.0, spec, n)
         assert bits(z[row]) == bits(expected), i
 
 
 def test_draw_rows_validate_like_the_kernels():
-    assert draw_rows(1, range(0), 0.0, 1.0, 3).shape == (0, 3)
+    assert draw_rows(1, range(0), 3).shape == (0, 3)
     for indices in (range(2**64 - 1, 2**64 + 1), range(-1, 2)):
         with pytest.raises(DomainError):
-            draw_rows(1, indices, 0.0, 1.0, 3)
+            draw_rows(1, indices, 3)
     with pytest.raises(DomainError):
-        draw_rows(2**64, range(2), 0.0, 1.0, 3)
+        draw_rows(2**64, range(2), 3)
     with pytest.raises(DomainError):
-        draw_rows(1, range(2), 0.0, 0.0, 3)
-    with pytest.raises(DomainError):
-        draw_rows(1, range(2), 0.0, 1.0, 0)
+        draw_rows(1, range(2), 0)
 
 
 # ---------------------------------------------------------------------------
