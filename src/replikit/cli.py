@@ -12,6 +12,7 @@ Exit codes: 0 success, 2 input/parse error, 3 domain/precondition error
 from __future__ import annotations
 
 import argparse
+import re
 import sys
 from dataclasses import asdict
 from pathlib import Path
@@ -49,6 +50,16 @@ NAMED_EFFECTS = {"none": 0.0, "small": 0.2}
 PROG = "replikit"
 
 
+class _Parser(argparse.ArgumentParser):
+    """ArgumentParser that reads an exponent-form negative such as -1e-05 as a
+    value, like -12 and -1.5; argparse alone would take it for a flag. No
+    option here is named like a number, so no flag is read differently."""
+
+    def __init__(self, *args, **kwargs) -> None:
+        super().__init__(*args, **kwargs)
+        self._negative_number_matcher = re.compile(r"^-(\d+\.?\d*|\.\d+)([eE][+-]?\d+)?$")
+
+
 def _add_common(parser: argparse.ArgumentParser, default_format: str = "text") -> None:
     parser.add_argument("--seed", type=int, default=42, help="master seed (default 42)")
     parser.add_argument(
@@ -63,7 +74,7 @@ def _add_common(parser: argparse.ArgumentParser, default_format: str = "text") -
 
 
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog=PROG,
         description="Effect-size, replication-simulation, and meta-analysis toolkit.",
     )

@@ -67,7 +67,8 @@ class StudySummary:
 
 @dataclass(frozen=True)
 class MetaResult:
-    """Pooled estimate with per-study weights and heterogeneity statistics."""
+    """Pooled estimate with per-study (d, se) effects, weights and
+    heterogeneity statistics; the per-study tuples follow input order."""
 
     pooled_d: float
     pooled_se: float
@@ -75,6 +76,7 @@ class MetaResult:
     weights: tuple[float, ...]
     q_statistic: float
     i_squared: float
+    effects: tuple[tuple[float, float], ...]
 
 
 @dataclass(frozen=True)
@@ -110,16 +112,6 @@ class FunnelData:
     pooled_d: float
 
 
-def _effects_and_weights(studies: Sequence[StudySummary]) -> tuple[list[float], list[float]]:
-    ds: list[float] = []
-    weights: list[float] = []
-    for s in studies:
-        d, se = s.effect()
-        ds.append(d)
-        weights.append(1.0 / (se * se))
-    return ds, weights
-
-
 def fixed_effect_pool(studies: Sequence[StudySummary], level: float = 0.95) -> MetaResult:
     """Inverse-variance fixed-effects pooling of standardized mean differences.
 
@@ -130,7 +122,9 @@ def fixed_effect_pool(studies: Sequence[StudySummary], level: float = 0.95) -> M
         raise InsufficientDataError("need at least one study to pool")
     if not 0.0 < level < 1.0:
         raise DomainError(f"level must be in (0, 1), got {level}")
-    ds, weights = _effects_and_weights(studies)
+    effects = tuple(s.effect() for s in studies)
+    ds = [d for d, _ in effects]
+    weights = tuple(1.0 / (se * se) for _, se in effects)
     w_total = sum(weights)
     pooled_d = sum(w * d for d, w in zip(ds, weights)) / w_total
     try:
@@ -148,23 +142,29 @@ def fixed_effect_pool(studies: Sequence[StudySummary], level: float = 0.95) -> M
         pooled_d=pooled_d,
         pooled_se=pooled_se,
         ci=ci,
-        weights=tuple(weights),
+        weights=weights,
         q_statistic=q,
         i_squared=i2,
+        effects=effects,
     )
 
 
 def forest_model(studies: Sequence[StudySummary], pooled: MetaResult) -> ForestPlotSpec:
     """Forest plot model: one row per study in input order plus the pooled row.
 
-    Marker areas are proportional to the inverse-variance weights; the axis
-    range covers every confidence interval with 5% padding.
+    Rows take their effects and weights from ``pooled``, the pooling of the
+    same ``studies``. Marker areas are proportional to the inverse-variance
+    weights; the axis range covers every confidence interval with 5% padding.
     """
     if not studies:
         raise InsufficientDataError("need at least one study for a forest model")
+    if len(pooled.effects) != len(studies):
+        raise DomainError(
+            f"pooled result holds {len(pooled.effects)} studies, the forest {len(studies)}"
+        )
     level = pooled.ci.level
     z = normal_quantile((1.0 + level) / 2.0)
-    ds, weights = _effects_and_weights(studies)
+    weights = pooled.weights
     w_max = max(weights)
     rows = tuple(
         ForestRow(
@@ -173,7 +173,7 @@ def forest_model(studies: Sequence[StudySummary], pooled: MetaResult) -> ForestP
             ci=Interval(d - z * math.sqrt(1.0 / w), d + z * math.sqrt(1.0 / w), level),
             marker_area=w / w_max,
         )
-        for s, d, w in zip(studies, ds, weights)
+        for s, (d, _), w in zip(studies, pooled.effects, weights)
     )
     lows = [r.ci.lower for r in rows] + [pooled.ci.lower]
     highs = [r.ci.upper for r in rows] + [pooled.ci.upper]
@@ -205,9 +205,5 @@ def funnel_data(studies: Sequence[StudySummary]) -> FunnelData:
     """One (d, se) point per study with the pooled d as the reference line."""
     if not studies:
         raise InsufficientDataError("need at least one study for funnel data")
-    points = []
-    for s in studies:
-        d, se = s.effect()
-        points.append((d, se))
     pooled = fixed_effect_pool(studies)
-    return FunnelData(points=tuple(points), pooled_d=pooled.pooled_d)
+    return FunnelData(points=pooled.effects, pooled_d=pooled.pooled_d)

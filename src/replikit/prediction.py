@@ -1,5 +1,8 @@
 """Replication confirmation calculus: prediction intervals for a replication's
-effect size, confirmation checks, and back-solving implied sample sizes."""
+effect size, confirmation checks, and back-solving implied sample sizes.
+
+``prediction_interval`` and ``back_solve_n`` share one half-width rule; the
+back-solve inverts it over the even sample sizes it can return."""
 
 from __future__ import annotations
 
@@ -11,8 +14,9 @@ from .errors import DomainError, InconsistentIntervalError, NoSolutionError
 from .stats_core import t_quantile
 
 _CENTER_TOLERANCE = 0.05
-_N_SEARCH_LO = 4.0
-_N_SEARCH_HI = 1e7
+# back_solve_n searches per-arm sizes m, i.e. total n = 2m in [4, 1e7].
+_M_SEARCH_LO = 2
+_M_SEARCH_HI = 5_000_000
 
 
 @dataclass(frozen=True)
@@ -31,6 +35,17 @@ class ReplicationDesign:
             raise DomainError(f"level must be in (0, 1), got {self.level}")
 
 
+def _half_width(se_orig: float, se_rep: float, df: float, level: float) -> float:
+    tq = t_quantile((1.0 + level) / 2.0, df)
+    try:
+        half_width = tq * math.sqrt(se_orig**2 + se_rep**2)
+    except OverflowError:  # float ``**`` raises where numpy would give inf
+        half_width = math.inf
+    if not math.isfinite(half_width):
+        raise DomainError("prediction interval half-width is not finite")
+    return half_width
+
+
 def prediction_interval(design: ReplicationDesign) -> Interval:
     """Range a confirmatory replication's d is expected to fall in.
 
@@ -41,14 +56,7 @@ def prediction_interval(design: ReplicationDesign) -> Interval:
     """
     orig = design.original
     se_rep = standard_error_d(orig.d, design.n1_rep, design.n2_rep)
-    df = orig.n1 + orig.n2 - 2
-    tq = t_quantile((1.0 + design.level) / 2.0, df)
-    try:
-        half_width = tq * math.sqrt(orig.se**2 + se_rep**2)
-    except OverflowError:  # float ``**`` raises where numpy would give inf
-        half_width = math.inf
-    if not math.isfinite(half_width):
-        raise DomainError("prediction interval half-width is not finite")
+    half_width = _half_width(orig.se, se_rep, orig.n1 + orig.n2 - 2, design.level)
     return Interval(orig.d - half_width, orig.d + half_width, design.level)
 
 
@@ -57,49 +65,39 @@ def confirms(interval: Interval, d_rep: float) -> bool:
     return interval.contains(d_rep)
 
 
-def _half_width_equal(d: float, n_total: float, level: float) -> float:
-    # Both studies with n_total units split into equal arms: each study's
-    # se^2 is 4/n + d^2/(2n), and df = n_total - 2.
-    se2 = 4.0 / n_total + d * d / (2.0 * n_total)
-    tq = t_quantile((1.0 + level) / 2.0, n_total - 2.0)
-    return tq * math.sqrt(2.0 * se2)
-
-
-def back_solve_n(d_orig: float, interval: Interval, assume_equal: bool = True) -> int:
+def back_solve_n(d_orig: float, interval: Interval) -> int:
     """Per-study total sample size implied by a published prediction interval.
 
-    Inverts the prediction-interval half-width for n by monotone bisection
-    over n in [4, 1e7], assuming the original and replication studies share
-    one total n with equal arms, and returns the even n whose half-width is
-    nearest the target. The interval must be symmetric about ``d_orig`` to
-    within 0.05.
+    Assumes the original and replication studies share one total n = 2m with
+    m units per arm, so the half-width is ``prediction_interval``'s at
+    se = standard_error_d(d_orig, m, m) for both studies and df = 2m - 2.
+    Bisects that decreasing half-width over the integer m in [2, 5e6]
+    (even n in [4, 1e7]) and returns the even n whose half-width is nearest
+    the target. The interval must be symmetric about ``d_orig`` to within 0.05.
     """
-    if not assume_equal:
-        raise DomainError(
-            "back-solving without the equal-sizes assumption is under-determined; "
-            "pass assume_equal=True"
-        )
     if abs(interval.midpoint - d_orig) > _CENTER_TOLERANCE:
         raise InconsistentIntervalError(
             f"interval center {interval.midpoint:.4g} is not within "
             f"{_CENTER_TOLERANCE} of d={d_orig:.4g}"
         )
     target = interval.width / 2.0
-    level = interval.level
-    lo, hi = _N_SEARCH_LO, _N_SEARCH_HI
-    if _half_width_equal(d_orig, lo, level) < target:
-        raise NoSolutionError(f"half-width {target:.4g} exceeds the n={int(lo)} maximum")
-    if _half_width_equal(d_orig, hi, level) > target:
-        raise NoSolutionError(f"half-width {target:.4g} is below the n={int(hi)} minimum")
-    for _ in range(200):
-        mid = 0.5 * (lo + hi)
-        if _half_width_equal(d_orig, mid, level) > target:
-            lo = mid
+
+    def half_width(m: int) -> float:
+        se = standard_error_d(d_orig, m, m)
+        return _half_width(se, se, 2 * m - 2, interval.level)
+
+    lo, hi = _M_SEARCH_LO, _M_SEARCH_HI
+    w_lo = half_width(lo)
+    if w_lo < target:
+        raise NoSolutionError(f"half-width {target:.4g} exceeds the n={2 * lo} maximum")
+    w_hi = half_width(hi)
+    if w_hi > target:
+        raise NoSolutionError(f"half-width {target:.4g} is below the n={2 * hi} minimum")
+    while hi - lo > 1:
+        mid = (lo + hi) // 2
+        w_mid = half_width(mid)
+        if w_mid > target:
+            lo, w_lo = mid, w_mid
         else:
-            hi = mid
-        if hi - lo < 1e-6:
-            break
-    n_star = 0.5 * (lo + hi)
-    base = 2 * math.floor(n_star / 2.0)
-    candidates = [n for n in (base, base + 2) if _N_SEARCH_LO <= n <= _N_SEARCH_HI]
-    return int(min(candidates, key=lambda n: abs(_half_width_equal(d_orig, n, level) - target)))
+            hi, w_hi = mid, w_mid
+    return 2 * (lo if w_lo - target <= target - w_hi else hi)

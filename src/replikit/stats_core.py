@@ -318,6 +318,10 @@ def normal_quantile(p: float) -> float:
 
 _T_QUANTILE_TOL = 1e-13
 _T_QUANTILE_MAX_ITER = 200
+# At large df the CDF carries rounding noise near 1e-10, above the tolerance,
+# and Newton steps can wander inside the bracket without shrinking it; after
+# this many steps the refinement bisects, which halves the bracket each step.
+_T_QUANTILE_NEWTON_ITER = 50
 
 
 def t_quantile(p: float, df: float) -> float:
@@ -336,8 +340,9 @@ def t_quantile(p: float, df: float) -> float:
         x such that ``t_cdf(x, df) == p`` to within 1e-10 or better.
 
     Solved by a safeguarded Newton iteration on the CDF inside a bisection
-    bracket, started from the normal quantile. Antisymmetry
-    ``t_quantile(1 - p, df) == -t_quantile(p, df)`` holds exactly.
+    bracket, started from the normal quantile, and by bisection alone after
+    50 steps. Antisymmetry ``t_quantile(1 - p, df) == -t_quantile(p, df)``
+    holds exactly.
     """
     if not 0.0 < p < 1.0:
         raise DomainError(f"p must be in (0, 1), got {p}")
@@ -360,7 +365,7 @@ def t_quantile(p: float, df: float) -> float:
         raise ConvergenceError(f"failed to bracket t quantile (p={p}, df={df})")
 
     x = min(max(normal_quantile(p), lo + 0.25 * (hi - lo)), hi)
-    for _ in range(_T_QUANTILE_MAX_ITER):
+    for step in range(_T_QUANTILE_MAX_ITER):
         fx = t_cdf(x, df) - p
         if abs(fx) <= _T_QUANTILE_TOL:
             return x
@@ -369,7 +374,7 @@ def t_quantile(p: float, df: float) -> float:
         else:
             lo = x
         dens = t_pdf(x, df)
-        step_ok = dens > 0.0
+        step_ok = step < _T_QUANTILE_NEWTON_ITER and dens > 0.0
         if step_ok:
             x_new = x - fx / dens
             step_ok = lo < x_new < hi

@@ -373,6 +373,29 @@ def test_unknown_flag_exits_2(capsys):
     capsys.readouterr()
 
 
+SIMULATE_ARGS = ["simulate", "--runs", "10", "--dist", "mixed"]
+
+
+@pytest.mark.parametrize("value", ["-1e-05", "-2.5E+3", "-.5e1"])
+@pytest.mark.parametrize(
+    "base, name",
+    [(EFFECT_ARGS, f"--{arg}") for arg in ("mean1", "mean2", "sd1", "sd2", "level")]
+    + [(PI_ARGS, name) for name in ("--d", "--se", "--check")]
+    + [(SIMULATE_ARGS, f"--{arg}") for arg in ("mu", "sigma", "epsilon", "scale-mult", "effect")],
+)
+def test_exponent_form_negative_token_is_an_option_value(base, name, value, capsys):
+    # argparse alone reads a separate "-1e-05" as a flag and exits 2.
+    rc_joined = main(base + [f"{name}={value}"])
+    joined = capsys.readouterr()
+    assert main(base + [name, value]) == rc_joined
+    assert capsys.readouterr() == joined
+
+
+def test_flag_after_an_option_is_still_a_missing_value(capsys):
+    assert main(EFFECT_ARGS + ["--level", "--hedges"]) == 2
+    assert "argument --level: expected one argument" in capsys.readouterr().err
+
+
 def test_missing_subcommand_exits_2(capsys):
     assert main([]) == 2
     capsys.readouterr()

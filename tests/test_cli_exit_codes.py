@@ -56,12 +56,14 @@ plot_formats = st.sampled_from(["svg"] * 4 + ["text", "yaml"])
 
 
 def required(name, values):
-    # One ``--name=value`` token: argparse reads a separate "-1e-05" as a flag.
-    return values.map(lambda v: [f"{name}={v}"])
+    """``["--name=value"]`` or ``["--name", "value"]``."""
+    return st.tuples(values, st.booleans()).map(
+        lambda t: [f"{name}={t[0]}"] if t[1] else [name, t[0]]
+    )
 
 
 def option(name, values):
-    """``[]`` or ``["--name=value"]``: an option that may be left out."""
+    """``[]`` or an option as ``required`` gives it: one that may be left out."""
     return st.one_of(st.just([]), required(name, values))
 
 

@@ -263,6 +263,46 @@ def test_forest_preserves_input_order():
     assert [r.label for r in spec.rows] == ["b", "a"]
 
 
+def arm_studies(k):
+    return [
+        StudySummary(f"s{i}", f"s{i}", arm1=SampleSummary(30, 105.0 + i, 20.0),
+                     arm2=SampleSummary(30, 100.0, 20.0))
+        for i in range(k)
+    ]
+
+
+def test_forest_and_funnel_derive_each_effect_once(monkeypatch):
+    calls = []
+    effect = StudySummary.effect
+
+    def counted(self):
+        calls.append(self.study_id)
+        return effect(self)
+
+    monkeypatch.setattr(StudySummary, "effect", counted)
+    studies = arm_studies(3)
+    forest_model(studies, fixed_effect_pool(studies))
+    assert calls == ["s0", "s1", "s2"]
+    calls.clear()
+    funnel_data(studies)
+    assert calls == ["s0", "s1", "s2"]
+
+
+def test_forest_rows_match_the_pooled_effects():
+    studies = arm_studies(2) + [direct("s2", 0.25, 0.5)]
+    pooled = fixed_effect_pool(studies, level=0.9)
+    spec = forest_model(studies, pooled)
+    assert pooled.effects == tuple(s.effect() for s in studies)
+    assert [r.d for r in spec.rows] == [d for d, _ in pooled.effects]
+    assert all(r.ci.level == 0.9 for r in spec.rows)
+
+
+def test_forest_rejects_a_pooled_result_of_other_studies():
+    studies = [direct("s1", 0.1, 0.5), direct("s2", 0.9, 0.5)]
+    with pytest.raises(DomainError, match="pooled result holds 1 studies"):
+        forest_model(studies, fixed_effect_pool(studies[:1]))
+
+
 def test_funnel_passthrough():
     data = funnel_data([direct("s1", 1.0, 0.5)])
     assert data.points == ((1.0, 0.5),)

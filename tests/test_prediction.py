@@ -7,6 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from replikit import prediction
 from replikit import (
     DomainError,
     EffectSize,
@@ -167,15 +168,57 @@ def test_back_solve_unit_interval_example():
     assert abs(8.0 * z * z - 30.73) < 0.01
     n = back_solve_n(0.0, Interval(-1.0, 1.0, 0.95))
     assert 30 <= n <= 36
-    # nearest-even consistency: no neighboring even n fits the target better
-    err = abs(half_width_equal(0.0, n) - 1.0)
-    assert err <= abs(half_width_equal(0.0, n - 2) - 1.0)
-    assert err <= abs(half_width_equal(0.0, n + 2) - 1.0)
+    assert_nearest_even(0.0, Interval(-1.0, 1.0, 0.95), n)
 
 
-def test_back_solve_requires_equal_assumption():
-    with pytest.raises(DomainError):
-        back_solve_n(0.0, Interval(-1.0, 1.0, 0.95), assume_equal=False)
+def assert_nearest_even(d, interval, n):
+    # no neighboring even n fits the target half-width better
+    target = interval.width / 2.0
+    err = abs(half_width_equal(d, n, interval.level) - target)
+    for m in (n - 2, n + 2):
+        if 4 <= m <= 10**7:
+            assert err <= abs(half_width_equal(d, m, interval.level) - target), (d, interval, n)
+
+
+def test_back_solve_nearest_even_for_arbitrary_half_widths():
+    rng = np.random.default_rng(11)
+    for _ in range(40):
+        d = float(rng.uniform(-2.0, 2.0))
+        half = float(10 ** rng.uniform(-2.5, 0.0))  # all inside the n = 4 .. 1e7 range
+        interval = Interval(d - half, d + half, float(rng.uniform(0.5, 0.999)))
+        assert_nearest_even(d, interval, back_solve_n(d, interval))
+
+
+def test_back_solve_near_a_fractional_df_without_a_quantile():
+    # t_quantile(0.75, df) does not converge at a fractional df = 614724.72...
+    # between these even n; the search asks only for whole df.
+    d = -0.8969962700511873
+    interval = Interval(-0.8995489080496838, -0.8944436320526908, 0.5)
+    n = back_solve_n(d, interval)
+    assert n == 614728
+    assert_nearest_even(d, interval, n)
+
+
+def test_back_solve_t_quantile_calls(monkeypatch):
+    calls = []
+
+    def counted(p, df):
+        calls.append(df)
+        return t_quantile(p, df)
+
+    monkeypatch.setattr(prediction, "t_quantile", counted)
+    rng = np.random.default_rng(3)
+    grid = [(0.101, Interval(-0.33, 0.53, 0.95)), (-0.176, Interval(-0.84, 0.48, 0.95)),
+            (1.430, Interval(0.05, 2.76, 0.95))]
+    for _ in range(10):
+        d = float(rng.uniform(-1.5, 1.5))
+        n = 2 * int(rng.integers(5, 401))
+        grid.append((d, prediction_interval(equal_arm_design(d, n, n))))
+    for d, interval in grid:
+        calls.clear()
+        back_solve_n(d, interval)
+        assert len(calls) <= 27
+        assert all(df == int(df) for df in calls)
 
 
 def test_back_solve_rejects_asymmetric_interval():
@@ -188,6 +231,15 @@ def test_back_solve_unreachable_targets():
         back_solve_n(0.0, Interval(-100.0, 100.0, 0.95))
     with pytest.raises(NoSolutionError):
         back_solve_n(0.0, Interval(-1e-9, 1e-9, 0.95))
+
+
+@pytest.mark.parametrize(
+    "d, interval", [(math.nan, Interval(-1.0, 1.0, 0.95)), (1e200, Interval(0.9e200, 1.1e200, 0.95))]
+)
+def test_back_solve_rejects_an_effect_without_a_finite_half_width(d, interval):
+    # A nan d, or |d| above about 1.3e154, has no finite half-width at any n.
+    with pytest.raises(DomainError, match="half-width is not finite"):
+        back_solve_n(d, interval)
 
 
 @settings(max_examples=100, deadline=None)

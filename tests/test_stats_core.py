@@ -276,6 +276,17 @@ def test_t_quantile_against_scipy():
             assert abs(mine - ref) <= 1e-9 * max(1.0, abs(ref)), (p, df)
 
 
+@pytest.mark.parametrize(
+    "p, df",
+    [(0.8311313375438745, 9655758), (0.8553283354954868, 5000000), (0.8388154337544579, 9999998),
+     (0.8543014071977832, 2500000), (0.7563413887883188, 1250000)],
+)
+def test_t_quantile_converges_through_cdf_noise_at_large_df(p, df):
+    # The CDF's rounding noise here exceeds the 1e-13 tolerance, and Newton
+    # alone wandered inside its bracket until the step cap (ConvergenceError).
+    assert abs(t_quantile(p, df) - stats.t.ppf(p, df)) <= 1e-7 * stats.t.ppf(p, df)
+
+
 def test_t_quantile_domain():
     with pytest.raises(DomainError):
         t_quantile(0.0, 5)
