@@ -234,7 +234,8 @@ def test_back_solve_unreachable_targets():
 
 
 @pytest.mark.parametrize(
-    "d, interval", [(math.nan, Interval(-1.0, 1.0, 0.95)), (1e200, Interval(0.9e200, 1.1e200, 0.95))]
+    "d, interval",
+    [(math.nan, Interval(-1.0, 1.0, 0.95)), (1e200, Interval(0.9e200, 1.1e200, 0.95))],
 )
 def test_back_solve_rejects_an_effect_without_a_finite_half_width(d, interval):
     # A nan d, or |d| above about 1.3e154, has no finite half-width at any n.
