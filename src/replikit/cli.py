@@ -25,8 +25,6 @@ from .io import (
     Percent,
     Table,
     batch_to_csv,
-    boxplot_dict,
-    config_dict,
     config_lines,
     parse_study_csv,
     render,
@@ -193,12 +191,17 @@ def _cmd_simulate(args: argparse.Namespace) -> int:
     categories = tabulate_categories(batch)
     signs = tabulate_sign_agreement(pair_replications(batch, pairing_stream(config)))
     label = f"{args.effect}-{args.dist}"
-    box = boxplot_summary({label: batch})[label]
+    box = boxplot_summary(batch)
     if args.dump_batch:
         Path(args.dump_batch).write_text(batch_to_csv(batch), encoding="utf-8")
 
-    echo = dict(config_dict(batch))
-    echo["workers"] = args.workers
+    echo = {
+        "runs": config.runs, "n_per_arm": config.n_per_arm,
+        "mu": config.mu, "sigma": config.sigma, "true_effect_d": config.true_effect_d,
+        "epsilon": None if spec is None else spec.epsilon,
+        "scale_mult": None if spec is None else spec.scale_mult,
+        "master_seed": config.master_seed, "workers": args.workers,
+    }
     tables = [
         Table(
             [(cat, Percent(p)) for cat, p in categories.items()],
@@ -206,7 +209,7 @@ def _cmd_simulate(args: argparse.Namespace) -> int:
             json_path=("categories",),
         ),
         Table(list(asdict(signs).items()), title=("quadrant", "count"), json_path=("sign_agreement",)),
-        Table(list(boxplot_dict(box).items()), json_path=("boxplot",), name=("scenario", label)),
+        Table(list(asdict(box).items()), json_path=("boxplot",), name=("scenario", label)),
     ]
     return _emit(fmt, echo, tables)
 

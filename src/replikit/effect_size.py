@@ -91,22 +91,6 @@ class Interval:
 _NON_FINITE_SD = "pooled standard deviation is not finite; d undefined"
 
 
-def pooled_sd(arm1: SampleSummary, arm2: SampleSummary) -> float:
-    """Degrees-of-freedom-weighted combination of the two arms' sds.
-
-    Raises DomainError when it is not finite (the variances overflow for sds
-    above about 1e154), the same rule as ``cohens_d_rows``.
-    """
-    df = arm1.n + arm2.n - 2
-    try:
-        sp = math.sqrt(((arm1.n - 1) * arm1.sd**2 + (arm2.n - 1) * arm2.sd**2) / df)
-    except OverflowError:  # float ``**`` raises where numpy would give inf
-        sp = math.inf
-    if not math.isfinite(sp):
-        raise DomainError(_NON_FINITE_SD)
-    return sp
-
-
 def standard_error_d(d: float, n1: int, n2: int) -> float:
     """Large-sample standard error of d: sqrt((n1+n2)/(n1*n2) + d^2/(2(n1+n2)))."""
     if n1 < 2 or n2 < 2:
@@ -125,11 +109,20 @@ def hedges_correction(df: int) -> float:
 def cohens_d(arm1: SampleSummary, arm2: SampleSummary, hedges: bool = False) -> EffectSize:
     """Standardized mean difference between two arms.
 
-    d = (mean1 - mean2) / pooled_sd, with the standard error from
-    ``standard_error_d``. With ``hedges=True`` the exact small-sample
-    correction is applied to both d and its se (off by default).
+    d = (mean1 - mean2) / sp, where sp is the degrees-of-freedom-weighted
+    pooled sd, with the standard error from ``standard_error_d``. With
+    ``hedges=True`` the exact small-sample correction is applied to both d
+    and its se (off by default). A pooled sd that is not finite (the
+    variances overflow for sds above about 1e154) raises DomainError, the
+    same rule as ``cohens_d_rows``.
     """
-    sp = pooled_sd(arm1, arm2)
+    try:
+        var_sum = (arm1.n - 1) * arm1.sd**2 + (arm2.n - 1) * arm2.sd**2
+    except OverflowError:  # float ``**`` raises where numpy would give inf
+        var_sum = math.inf
+    sp = math.sqrt(var_sum / (arm1.n + arm2.n - 2))
+    if not math.isfinite(sp):
+        raise DomainError(_NON_FINITE_SD)
     if sp == 0.0:
         raise DegenerateSampleError("pooled standard deviation is zero; d undefined")
     d = (arm1.mean - arm2.mean) / sp

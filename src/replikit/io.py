@@ -19,7 +19,7 @@ from typing import Mapping, Sequence
 from .effect_size import EffectCategory, category_label
 from .errors import ParseError, UnsupportedFormatError
 from .meta import StudySummary
-from .simulation import BoxplotStats, SimulationBatch
+from .simulation import SimulationBatch
 from .stats_core import SampleSummary
 
 
@@ -270,38 +270,9 @@ def render(
     return config_lines(config) + body, ""
 
 
-def boxplot_dict(stats: BoxplotStats) -> dict[str, float | int]:
-    return {
-        "n": stats.n,
-        "min": stats.minimum,
-        "q1": stats.q1,
-        "median": stats.median,
-        "q3": stats.q3,
-        "max": stats.maximum,
-        "whisker_low": stats.whisker_low,
-        "whisker_high": stats.whisker_high,
-        "n_outliers": stats.n_outliers,
-    }
-
-
 # ---------------------------------------------------------------------------
 # Batch export
 # ---------------------------------------------------------------------------
-
-def config_dict(batch: SimulationBatch) -> dict[str, object]:
-    cfg = batch.config
-    spec = cfg.contamination
-    return {
-        "runs": cfg.runs,
-        "n_per_arm": cfg.n_per_arm,
-        "mu": cfg.mu,
-        "sigma": cfg.sigma,
-        "true_effect_d": cfg.true_effect_d,
-        "epsilon": None if spec is None else spec.epsilon,
-        "scale_mult": None if spec is None else spec.scale_mult,
-        "master_seed": cfg.master_seed,
-    }
-
 
 def batch_to_csv(batch: SimulationBatch) -> str:
     """One ``index,d,se,n1,n2`` row per experiment, in ``csv.writer``'s

@@ -62,6 +62,8 @@ def prediction_interval(design: ReplicationDesign) -> Interval:
 
 def confirms(interval: Interval, d_rep: float) -> bool:
     """True iff the replication effect lies in the interval (inclusive ends)."""
+    if not math.isfinite(d_rep):
+        raise DomainError(f"d_rep must be finite, got {d_rep}")
     return interval.contains(d_rep)
 
 

@@ -10,9 +10,9 @@ vectorised chunks, and every table downstream reads those columns.
 
 from __future__ import annotations
 
+import math
 from collections import Counter
 from dataclasses import dataclass
-from typing import Mapping
 
 import numpy as np
 
@@ -21,6 +21,9 @@ from .errors import DomainError, InsufficientDataError, PairingError
 from .stats_core import ContaminationSpec, RandomStream, derive_substream, draw_rows
 
 _UINT64_MAX = 2**64 - 1
+# A chunk holds at least one row of 2n normals (and 2n uniforms when mixed), so
+# memory grows with n: `simulate --runs 2 --dist mixed` peaks near 83 MB here.
+MAX_N_PER_ARM = 10**6
 
 # Draws per chunk; rows per chunk follow, so memory is bounded for any n_per_arm.
 _CHUNK_DRAWS = 2**18
@@ -41,10 +44,12 @@ class SimulationConfig:
     def __post_init__(self) -> None:
         if self.runs < 0 or self.runs % 2 != 0:
             raise DomainError(f"runs must be a non-negative even count, got {self.runs}")
-        if self.n_per_arm < 2:
-            raise DomainError(f"n_per_arm must be >= 2, got {self.n_per_arm}")
-        if not self.sigma > 0:
-            raise DomainError(f"sigma must be > 0, got {self.sigma}")
+        if not 2 <= self.n_per_arm <= MAX_N_PER_ARM:
+            raise DomainError(f"n_per_arm must be in [2, {MAX_N_PER_ARM}], got {self.n_per_arm}")
+        if not math.isfinite(self.mu):
+            raise DomainError(f"mu must be finite, got {self.mu}")
+        if not (math.isfinite(self.sigma) and self.sigma > 0):
+            raise DomainError(f"sigma must be finite and > 0, got {self.sigma}")
         if not 0 <= self.master_seed <= _UINT64_MAX:
             raise DomainError(f"master_seed must be a 64-bit unsigned integer, got {self.master_seed}")
 
@@ -81,14 +86,15 @@ class SignAgreementTable:
 
 @dataclass(frozen=True)
 class BoxplotStats:
-    """Tukey five-number summary of effect sizes, as plot-ready data."""
+    """Tukey five-number summary of effect sizes, as plot-ready data. The
+    fields, in order, are the keys of the simulate command's boxplot table."""
 
     n: int
-    minimum: float
+    min: float
     q1: float
     median: float
     q3: float
-    maximum: float
+    max: float
     whisker_low: float
     whisker_high: float
     n_outliers: int
@@ -153,7 +159,11 @@ def tabulate_sign_agreement(pairs: np.ndarray) -> SignAgreementTable:
     return SignAgreementTable(mm=mm, mp=mp, pm=pm, pp=pp)
 
 
-def _boxplot_stats(ds: np.ndarray) -> BoxplotStats:
+def boxplot_summary(batch: SimulationBatch) -> BoxplotStats:
+    """Tukey summary of a batch's d, emitted as data for external plotting."""
+    ds = batch.d
+    if not ds.size:
+        raise InsufficientDataError("cannot summarize an empty batch")
     q1, med, q3 = np.percentile(ds, [25.0, 50.0, 75.0])
     iqr = q3 - q1
     lo_fence = q1 - 1.5 * iqr
@@ -161,27 +171,15 @@ def _boxplot_stats(ds: np.ndarray) -> BoxplotStats:
     inside = ds[(ds >= lo_fence) & (ds <= hi_fence)]
     return BoxplotStats(
         n=int(ds.size),
-        minimum=float(ds.min()),
+        min=float(ds.min()),
         q1=float(q1),
         median=float(med),
         q3=float(q3),
-        maximum=float(ds.max()),
+        max=float(ds.max()),
         whisker_low=float(inside.min()),
         whisker_high=float(inside.max()),
         n_outliers=int(ds.size - inside.size),
     )
-
-
-def boxplot_summary(batches: Mapping[str, SimulationBatch]) -> dict[str, BoxplotStats]:
-    """Per-scenario Tukey summaries of d, emitted as data for external plotting."""
-    if not batches:
-        raise InsufficientDataError("no scenarios to summarize")
-    out: dict[str, BoxplotStats] = {}
-    for name, batch in batches.items():
-        if not batch.d.size:
-            raise InsufficientDataError(f"scenario {name!r} has no experiments")
-        out[name] = _boxplot_stats(batch.d)
-    return out
 
 
 def pairing_stream(config: SimulationConfig) -> RandomStream:

@@ -88,8 +88,8 @@ class ContaminationSpec:
     def __post_init__(self) -> None:
         if not 0.0 <= self.epsilon <= 1.0:
             raise DomainError(f"epsilon must be in [0, 1], got {self.epsilon}")
-        if not self.scale_mult > 1.0:
-            raise DomainError(f"scale_mult must be > 1, got {self.scale_mult}")
+        if not (math.isfinite(self.scale_mult) and self.scale_mult > 1.0):
+            raise DomainError(f"scale_mult must be finite and > 1, got {self.scale_mult}")
 
 
 @dataclass(frozen=True)

@@ -120,6 +120,8 @@ def test_simulate_json_output(capsys):
     assert main(["simulate", "--runs", "50", "--effect", "small", "--format", "json"]) == 0
     data = json.loads(capsys.readouterr().out)
     assert data["config"]["true_effect_d"] == 0.2
+    assert data["config"]["runs"] == 50 and data["config"]["n_per_arm"] == 30
+    assert data["config"]["epsilon"] is None and data["config"]["scale_mult"] is None
     assert set(data["sign_agreement"]) == {"mm", "mp", "pm", "pp"}
     assert sum(data["sign_agreement"].values()) == 25
     assert abs(sum(data["categories"].values()) - 1.0) < 1e-9
@@ -247,6 +249,25 @@ def test_pi_tiny_arm_exits_3(capsys):
     assert main(["pi", "--d", "0.1", "--n1", "1", "--n2", "30",
                  "--rep-n1", "30", "--rep-n2", "30"]) == 3
     assert "error" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize(
+    "argv, message",
+    [
+        (["simulate", "--mu", "nan", "--sigma", "inf"], "mu must be finite, got nan"),
+        (["simulate", "--sigma", "inf"], "sigma must be finite and > 0, got inf"),
+        (["simulate", "--dist", "mixed", "--epsilon", "0", "--scale-mult", "inf"],
+         "scale_mult must be finite and > 1, got inf"),
+        (PI_ARGS + ["--check", "nan"], "d_rep must be finite, got nan"),
+        (["simulate", "--runs", "2", "--n-per-arm", "1000001"],
+         "n_per_arm must be in [2, 1000000], got 1000001"),
+    ],
+)
+def test_non_finite_or_oversized_input_exits_3_before_printing(argv, message, capsys):
+    assert main(argv + ["--format", "json"]) == 3
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == f"replikit: error: {message}\n"
 
 
 # ---------------------------------------------------------------------------

@@ -1,13 +1,15 @@
 """Property: every CLI input either gives a result or exits 2, 3 or 4.
 
 Generated argv and study-CSV bytes drive ``main()``, which must return 0, 2,
-3 or 4, never raise, warn nothing, and print one stderr line on exit 3 or 4.
+3 or 4, never raise, warn nothing, print one stderr line on exit 3 or 4, and
+print only RFC 8259 JSON (no NaN or Infinity) on a json success.
 Simulation sizes are bounded so that no example allocates much, and every
 file an example names lives in its own temporary directory.
 """
 
 import contextlib
 import io
+import json
 import os
 import tempfile
 import warnings
@@ -21,6 +23,10 @@ EXIT_CODES = {0, 2, 3, 4}
 # Generated argv names files by these names; each example maps them into its
 # own temporary directory.
 FILE_NAMES = ("studies.csv", "plot.svg", "batch.csv")
+
+
+def reject_constant(name):
+    raise ValueError(f"{name} is not valid JSON")
 
 
 def weighted(*pairs):
@@ -159,6 +165,8 @@ def test_main_returns_an_exit_code_and_never_raises(argv, content):
                 rc = main(argv)
     assert rc in EXIT_CODES, (rc, err.getvalue())
     assert [str(w.message) for w in caught] == []
+    if rc == 0 and out.getvalue().startswith("{"):
+        json.loads(out.getvalue(), parse_constant=reject_constant)
     if rc in (3, 4):
         assert err.getvalue().startswith("replikit: error: ")
         assert err.getvalue().count("\n") == 1, err.getvalue()

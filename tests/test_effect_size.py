@@ -15,15 +15,11 @@ from replikit import (
     EffectSize,
     Interval,
     SampleSummary,
-    category_label,
-    classify,
     cohens_d,
     confidence_interval,
-    hedges_correction,
-    pooled_sd,
     standard_error_d,
 )
-from replikit.effect_size import cohens_d_rows
+from replikit.effect_size import category_label, classify, cohens_d_rows, hedges_correction
 
 arm_ns = st.integers(min_value=2, max_value=1000)
 arm_means = st.floats(min_value=-1e3, max_value=1e3)
@@ -57,10 +53,10 @@ def test_d_degenerate_pooled_sd():
 
 
 def test_pooled_sd_weighted_by_df():
-    a = SampleSummary(11, 0.0, 2.0)
+    a = SampleSummary(11, 1.0, 2.0)
     b = SampleSummary(5, 0.0, 4.0)
-    # (10*4 + 4*16) / 14 = 104/14
-    assert math.isclose(pooled_sd(a, b), math.sqrt(104.0 / 14.0), rel_tol=1e-12)
+    # d = 1 / pooled sd, with pooled variance (10*4 + 4*16) / 14 = 104/14
+    assert math.isclose(cohens_d(a, b).d, 1.0 / math.sqrt(104.0 / 14.0), rel_tol=1e-12)
 
 
 def test_hedges_correction_applied_when_asked():
@@ -124,8 +120,6 @@ def test_non_finite_pooled_sd_rejected_alike_by_scalar_and_row_paths(sd1):
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         with pytest.raises(DomainError, match=message) as scalar:
-            pooled_sd(arm1, arm2)
-        with pytest.raises(DomainError, match=message):
             cohens_d(arm1, arm2)
         with pytest.raises(DomainError, match=message) as batch:
             rows([1.0], [sd1], [0.0], [1.0], n=30)

@@ -9,23 +9,18 @@ from hypothesis import strategies as st
 
 from replikit import (
     EffectCategory,
-    MetaResult,
-    OutputFormat,
     ParseError,
     SampleSummary,
-    SignAgreementTable,
     SimulationConfig,
     StudySummary,
     UnsupportedFormatError,
-    batch_to_csv,
-    config_dict,
     fixed_effect_pool,
-    fmt4,
     parse_study_csv,
     run_simulation,
     serialize_study_csv,
 )
-from replikit.io import Percent, Table, render
+from replikit.io import OutputFormat, Percent, Table, batch_to_csv, fmt4, render
+from replikit.simulation import SignAgreementTable
 
 HEADER = "study_id,label,n1,n2,mean1,mean2,sd1,sd2,d,se"
 
@@ -394,19 +389,6 @@ def test_batch_csv_layout(tiny_batch):
     assert int(first[0]) == 0
     assert float(first[1]) == tiny_batch.d[0]  # repr round-trips
     assert int(first[3]) == tiny_batch.config.n_per_arm
-
-
-def test_config_dict_contamination_fields(tiny_batch):
-    plain = config_dict(tiny_batch)
-    assert plain["epsilon"] is None and plain["scale_mult"] is None
-    assert plain["runs"] == 4 and plain["n_per_arm"] == 30
-    from replikit import ContaminationSpec
-
-    mixed = run_simulation(
-        SimulationConfig(runs=2, master_seed=11, contamination=ContaminationSpec())
-    )
-    echoed = config_dict(mixed)
-    assert echoed["epsilon"] == 0.1 and echoed["scale_mult"] == 10.0
 
 
 def test_sign_dict_helper():

@@ -13,10 +13,8 @@ from replikit import (
     StudySummary,
     cohens_d,
     fixed_effect_pool,
-    forest_model,
-    funnel_data,
 )
-from replikit.meta import axis_range
+from replikit.meta import axis_range, forest_model, funnel_data
 
 
 def direct(study_id, d, se, label=None):

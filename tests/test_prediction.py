@@ -130,6 +130,12 @@ def test_confirms_inclusive_endpoints():
     assert not confirms(i, 1.0 + 1e-12)
 
 
+@pytest.mark.parametrize("d_rep", [math.nan, math.inf, -math.inf])
+def test_confirms_rejects_non_finite_d_rep(d_rep):
+    with pytest.raises(DomainError, match="d_rep must be finite"):
+        confirms(Interval(-1.0, 1.0, 0.95), d_rep)
+
+
 @given(
     lo=st.floats(min_value=-5.0, max_value=0.0),
     hi=st.floats(min_value=0.0, max_value=5.0),

@@ -12,19 +12,16 @@ from replikit import (
     EffectCategory,
     InsufficientDataError,
     PairingError,
-    SimulationBatch,
     SimulationConfig,
-    boxplot_summary,
     cohens_d,
-    derive_substream,
     pair_replications,
     pairing_stream,
     run_simulation,
-    summarize,
     tabulate_categories,
     tabulate_sign_agreement,
 )
-from replikit.stats_core import draw_contaminated, draw_normal
+from replikit.simulation import MAX_N_PER_ARM, SimulationBatch, boxplot_summary
+from replikit.stats_core import derive_substream, draw_contaminated, draw_normal, summarize
 
 
 def small_config(**overrides):
@@ -154,6 +151,19 @@ def test_config_validation():
         small_config(n_per_arm=1)
     with pytest.raises(DomainError):
         small_config(sigma=0.0)
+    for sigma in (math.inf, math.nan):
+        with pytest.raises(DomainError, match="sigma must be finite"):
+            small_config(sigma=sigma)
+    for mu in (math.inf, -math.inf, math.nan):
+        with pytest.raises(DomainError, match="mu must be finite"):
+            small_config(mu=mu)
+
+
+def test_n_per_arm_ceiling_is_checked_before_any_draw():
+    # Constructing a config allocates nothing, so the ceiling itself is cheap to test.
+    assert small_config(n_per_arm=MAX_N_PER_ARM).n_per_arm == 10**6
+    with pytest.raises(DomainError, match=r"n_per_arm must be in \[2, 1000000\]"):
+        small_config(n_per_arm=MAX_N_PER_ARM + 1)
 
 
 # ---------------------------------------------------------------------------
@@ -265,9 +275,9 @@ def test_null_scenario_sign_symmetry_across_seeds():
 def test_boxplot_hand_quartiles():
     cfg = small_config(runs=6)
     batch = _batch(cfg, [float(i + 1) for i in range(5)])
-    stats = boxplot_summary({"x": batch})["x"]
+    stats = boxplot_summary(batch)
     assert (stats.q1, stats.median, stats.q3) == (2.0, 3.0, 4.0)
-    assert (stats.minimum, stats.maximum) == (1.0, 5.0)
+    assert (stats.min, stats.max) == (1.0, 5.0)
     assert (stats.whisker_low, stats.whisker_high) == (1.0, 5.0)
     assert stats.n_outliers == 0
     assert stats.n == 5
@@ -277,26 +287,24 @@ def test_boxplot_flags_outliers():
     ds = [1.0, 2.0, 3.0, 4.0, 5.0, 100.0]
     cfg = small_config(runs=6)
     batch = _batch(cfg, ds)
-    stats = boxplot_summary({"x": batch})["x"]
+    stats = boxplot_summary(batch)
     assert stats.n_outliers == 1
-    assert stats.maximum == 100.0
+    assert stats.max == 100.0
     assert stats.whisker_high == 5.0
 
 
 def test_boxplot_rejects_empty():
     with pytest.raises(InsufficientDataError):
-        boxplot_summary({})
-    with pytest.raises(InsufficientDataError):
-        boxplot_summary({"x": run_simulation(small_config(runs=0))})
+        boxplot_summary(run_simulation(small_config(runs=0)))
 
 
 def test_null_median_near_zero(batch_null):
-    stats = boxplot_summary({"null": batch_null})["null"]
+    stats = boxplot_summary(batch_null)
     assert abs(stats.median) < 0.01
 
 
 def test_small_effect_median_near_point_two(batch_small):
-    stats = boxplot_summary({"small": batch_small})["small"]
+    stats = boxplot_summary(batch_small)
     assert abs(stats.median - 0.2) < 0.02
 
 

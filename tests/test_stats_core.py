@@ -21,16 +21,20 @@ from replikit import (
     DomainError,
     InsufficientDataError,
     NoSolutionError,
+    normal_quantile,
+    t_quantile,
+)
+from replikit.stats_core import (
     RandomStream,
     derive_substream,
-    normal_quantile,
+    draw_contaminated,
+    draw_normal,
+    draw_rows,
     regularized_incomplete_beta,
     summarize,
     t_cdf,
     t_pdf,
-    t_quantile,
 )
-from replikit.stats_core import draw_contaminated, draw_normal, draw_rows
 
 
 # ---------------------------------------------------------------------------
@@ -192,6 +196,9 @@ def test_contamination_spec_validation():
         ContaminationSpec(epsilon=1.5, scale_mult=10.0)
     with pytest.raises(DomainError):
         ContaminationSpec(epsilon=0.1, scale_mult=1.0)
+    for scale_mult in (math.inf, math.nan):
+        with pytest.raises(DomainError, match="scale_mult must be finite"):
+            ContaminationSpec(epsilon=0.0, scale_mult=scale_mult)
 
 
 # ---------------------------------------------------------------------------

@@ -3,15 +3,17 @@
 import math
 import xml.etree.ElementTree as ET
 
-from replikit import (
-    StudySummary,
-    fixed_effect_pool,
-    forest_model,
-    funnel_data,
+from replikit import StudySummary, fixed_effect_pool
+from replikit.meta import forest_model, funnel_data
+from replikit.svg import (
+    MARGIN_LEFT,
+    MARGIN_RIGHT,
+    MAX_MARKER_SIDE,
+    WIDTH,
     render_forest_svg,
     render_funnel_svg,
+    x_transform,
 )
-from replikit.svg import MARGIN_LEFT, MARGIN_RIGHT, MAX_MARKER_SIDE, WIDTH, x_transform
 
 
 def two_studies():
