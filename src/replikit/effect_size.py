@@ -89,6 +89,9 @@ class Interval:
 
 
 _NON_FINITE_SD = "pooled standard deviation is not finite; d undefined"
+# An sd below this has a subnormal square; the pooled-sd kernels then square
+# both sds scaled by a power of two (exact) and undo the scale on the root.
+_TINY_SD = 2.0**-511
 
 
 def standard_error_d(d: float, n1: int, n2: int) -> float:
@@ -114,13 +117,18 @@ def cohens_d(arm1: SampleSummary, arm2: SampleSummary, hedges: bool = False) -> 
     ``hedges=True`` the exact small-sample correction is applied to both d
     and its se (off by default). A pooled sd that is not finite (the
     variances overflow for sds above about 1e154) raises DomainError, the
-    same rule as ``cohens_d_rows``.
+    same rule as ``cohens_d_rows``. When both sds are below 2^-511, whose
+    squares would be subnormal, they are squared at a power-of-two scale.
     """
+    sd1, sd2, scale = arm1.sd, arm2.sd, 0
+    if max(sd1, sd2) < _TINY_SD:
+        scale = math.frexp(max(sd1, sd2))[1]
+        sd1, sd2 = math.ldexp(sd1, -scale), math.ldexp(sd2, -scale)
     try:
-        var_sum = (arm1.n - 1) * arm1.sd**2 + (arm2.n - 1) * arm2.sd**2
+        var_sum = (arm1.n - 1) * sd1**2 + (arm2.n - 1) * sd2**2
     except OverflowError:  # float ``**`` raises where numpy would give inf
         var_sum = math.inf
-    sp = math.sqrt(var_sum / (arm1.n + arm2.n - 2))
+    sp = math.ldexp(math.sqrt(var_sum / (arm1.n + arm2.n - 2)), scale)
     if not math.isfinite(sp):
         raise DomainError(_NON_FINITE_SD)
     if sp == 0.0:
@@ -148,9 +156,12 @@ def cohens_d_rows(
         raise DomainError("mean and sd must be finite")
     # np.float_power is libm pow, like the scalar ``sd**2``; numpy's ``sd**2``
     # is sd*sd, which differs in the last bit for about 0.1 % of values.
+    sd_max = np.maximum(sd1, sd2)
+    scale = np.where(sd_max < _TINY_SD, np.frexp(sd_max)[1], 0)
+    sd1, sd2 = np.ldexp(sd1, -scale), np.ldexp(sd2, -scale)
     with np.errstate(over="ignore"):
         var_sum = (n1 - 1) * np.float_power(sd1, 2.0) + (n2 - 1) * np.float_power(sd2, 2.0)
-    sp = np.sqrt(var_sum / (n1 + n2 - 2))
+    sp = np.ldexp(np.sqrt(var_sum / (n1 + n2 - 2)), scale)
     if not np.isfinite(sp).all():
         raise DomainError(_NON_FINITE_SD)
     if not sp.all():

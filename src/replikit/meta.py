@@ -5,6 +5,8 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import reduce
+from operator import add
 from typing import Sequence
 
 from .effect_size import Interval, cohens_d
@@ -125,10 +127,12 @@ def fixed_effect_pool(studies: Sequence[StudySummary], level: float = 0.95) -> M
     effects = tuple(s.effect() for s in studies)
     ds = [d for d, _ in effects]
     weights = tuple(1.0 / (se * se) for _, se in effects)
-    w_total = sum(weights)
-    pooled_d = sum(w * d for d, w in zip(ds, weights)) / w_total
+    # Left-to-right folds: from Python 3.12 the builtin ``sum`` compensates
+    # float rounding, which would make the result depend on the version.
+    w_total = reduce(add, weights, 0.0)
+    pooled_d = reduce(add, (w * d for d, w in zip(ds, weights)), 0.0) / w_total
     try:
-        q = sum(w * (d - pooled_d) ** 2 for d, w in zip(ds, weights))
+        q = reduce(add, (w * (d - pooled_d) ** 2 for d, w in zip(ds, weights)), 0.0)
     except OverflowError:  # float ``**`` raises where numpy would give inf
         q = math.inf
     if not (math.isfinite(w_total) and math.isfinite(pooled_d) and math.isfinite(q)):

@@ -2,7 +2,8 @@
 effect size, confirmation checks, and back-solving implied sample sizes.
 
 ``prediction_interval`` and ``back_solve_n`` share one half-width rule; the
-back-solve inverts it over the even sample sizes it can return."""
+back-solve inverts it over even n by a search that starts at the normal
+approximation's n and gallops outward, so it asks for few t quantiles."""
 
 from __future__ import annotations
 
@@ -11,7 +12,7 @@ from dataclasses import dataclass
 
 from .effect_size import EffectSize, Interval, standard_error_d
 from .errors import DomainError, InconsistentIntervalError, NoSolutionError
-from .stats_core import t_quantile
+from .stats_core import normal_quantile, t_quantile
 
 _CENTER_TOLERANCE = 0.05
 # back_solve_n searches per-arm sizes m, i.e. total n = 2m in [4, 1e7].
@@ -72,10 +73,16 @@ def back_solve_n(d_orig: float, interval: Interval) -> int:
 
     Assumes the original and replication studies share one total n = 2m with
     m units per arm, so the half-width is ``prediction_interval``'s at
-    se = standard_error_d(d_orig, m, m) for both studies and df = 2m - 2.
-    Bisects that decreasing half-width over the integer m in [2, 5e6]
-    (even n in [4, 1e7]) and returns the even n whose half-width is nearest
-    the target. The interval must be symmetric about ``d_orig`` to within 0.05.
+    se = standard_error_d(d_orig, m, m) for both studies and df = 2m - 2,
+    and returns the even n in [4, 1e7] whose half-width is nearest the
+    target. The interval must be symmetric about ``d_orig`` to within 0.05.
+
+    The search starts at m* = 2 z^2 (2 + d^2/4) / target^2, where the normal
+    approximation z * sqrt(2) * se meets the target. t > z at every df, so
+    the answer is at or just above m*: steps of 1, 2, 4, ... from m* bracket
+    the target and bisection narrows the bracket to adjacent m. The
+    half-width decreases in m, so this ends on the same pair as bisecting all
+    of [2, 5e6], and asks for a large df only when the answer is that large.
     """
     if abs(interval.midpoint - d_orig) > _CENTER_TOLERANCE:
         raise InconsistentIntervalError(
@@ -88,13 +95,33 @@ def back_solve_n(d_orig: float, interval: Interval) -> int:
         se = standard_error_d(d_orig, m, m)
         return _half_width(se, se, 2 * m - 2, interval.level)
 
-    lo, hi = _M_SEARCH_LO, _M_SEARCH_HI
-    w_lo = half_width(lo)
-    if w_lo < target:
-        raise NoSolutionError(f"half-width {target:.4g} exceeds the n={2 * lo} maximum")
-    w_hi = half_width(hi)
-    if w_hi > target:
-        raise NoSolutionError(f"half-width {target:.4g} is below the n={2 * hi} minimum")
+    # A nan m* (nan d, or 0 * inf) starts at the top end, like an infinite one.
+    r = normal_quantile((1.0 + interval.level) / 2.0) / target if target > 0 else math.inf
+    m_est = 2.0 * (2.0 + d_orig * d_orig / 4.0) * r * r
+    m = _M_SEARCH_HI if not m_est < _M_SEARCH_HI else max(_M_SEARCH_LO, int(m_est))
+    w, step = half_width(m), 1
+    if w > target:  # gallop up until the half-width is at or below the target
+        lo, w_lo = m, w
+        while True:
+            if lo == _M_SEARCH_HI:
+                raise NoSolutionError(f"half-width {target:.4g} is below the n={2 * lo} minimum")
+            hi = min(lo + step, _M_SEARCH_HI)
+            w_hi = half_width(hi)
+            if w_hi <= target:
+                break
+            lo, w_lo, step = hi, w_hi, 2 * step
+    else:  # gallop down until the half-width is above the target
+        hi, w_hi = m, w
+        while True:
+            if hi == _M_SEARCH_LO:
+                if w_hi < target:
+                    raise NoSolutionError(f"half-width {target:.4g} exceeds the n={2 * hi} maximum")
+                return 2 * hi  # the n = 4 half-width equals the target
+            lo = max(hi - step, _M_SEARCH_LO)
+            w_lo = half_width(lo)
+            if w_lo > target:
+                break
+            hi, w_hi, step = lo, w_lo, 2 * step
     while hi - lo > 1:
         mid = (lo + hi) // 2
         w_mid = half_width(mid)

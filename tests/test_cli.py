@@ -83,6 +83,14 @@ def test_effect_overflowing_sd_exits_3_with_one_line(capsys):
     assert capsys.readouterr() == ("", NON_FINITE_SD_ERROR)
 
 
+@pytest.mark.parametrize("tiny", ["1e-160", "1e-165"])
+def test_effect_tiny_sds_give_exact_d(tiny, capsys):
+    argv = ["effect", "--n1", "30", "--mean1", tiny, "--sd1", tiny,
+            "--n2", "30", "--mean2", "0", "--sd2", tiny, "--format", "json"]
+    assert main(argv) == 0
+    assert abs(json.loads(capsys.readouterr().out)["d"] - 1.0) <= 1e-15
+
+
 def test_effect_bad_arm_exits_3(capsys):
     rc = main([
         "effect",

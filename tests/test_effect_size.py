@@ -28,6 +28,14 @@ arm_sds = st.floats(min_value=0.01, max_value=1e3)
 arm_summaries = st.builds(SampleSummary, n=arm_ns, mean=arm_means, sd=arm_sds)
 
 
+def scaled_down(arm, k):
+    return SampleSummary(arm.n, math.ldexp(arm.mean, -k), math.ldexp(arm.sd, -k))
+
+
+# sds of about 2^-1007 .. 2^-510, whose squares are mostly subnormal or 0
+tiny_arm_summaries = st.builds(scaled_down, arm_summaries, st.integers(520, 1000))
+
+
 # ---------------------------------------------------------------------------
 # cohens_d
 # ---------------------------------------------------------------------------
@@ -86,7 +94,7 @@ def test_d_antisymmetric(a, b):
     assert ab.se == ba.se
 
 
-@given(a=arm_summaries, b=arm_summaries)
+@given(a=arm_summaries | tiny_arm_summaries, b=arm_summaries | tiny_arm_summaries)
 def test_d_rows_bit_identical_to_scalar(a, b):
     d, se = cohens_d_rows(
         np.array([a.mean]), np.array([a.sd]), np.array([b.mean]), np.array([b.sd]), a.n, b.n
@@ -97,6 +105,15 @@ def test_d_rows_bit_identical_to_scalar(a, b):
 
 def rows(mean1, sd1, mean2, sd2, n=5):
     return cohens_d_rows(*(np.array(v, dtype=float) for v in (mean1, sd1, mean2, sd2)), n, n)
+
+
+def test_d_exact_for_tiny_sds_in_both_paths():
+    # squares of the sds below 2^-511 are subnormal or 0; d = mean difference / sd = 1
+    sds = [1.0, 2.0**-511, math.nextafter(2.0**-511, 0.0), 1e-160, 1e-165, 1e-300, 5e-324]
+    d, se = rows(sds, sds, [0.0] * len(sds), sds, n=30)
+    scalar = [cohens_d(SampleSummary(30, sd, sd), SampleSummary(30, 0.0, sd)) for sd in sds]
+    assert (d.tolist(), se.tolist()) == ([e.d for e in scalar], [e.se for e in scalar])
+    assert all(abs(x - 1.0) <= 1e-15 for x in d.tolist())
 
 
 def test_d_rows_reject_zero_pooled_sd_in_any_row():

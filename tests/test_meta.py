@@ -2,6 +2,7 @@
 
 import math
 
+import numpy as np
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
@@ -14,6 +15,7 @@ from replikit import (
     cohens_d,
     fixed_effect_pool,
 )
+from replikit import meta
 from replikit.meta import axis_range, forest_model, funnel_data
 
 
@@ -216,6 +218,27 @@ def test_equal_studies_any_k_q_zero():
         q, i2 = result.q_statistic, result.i_squared
         assert q < 1e-10
         assert i2 == 0.0
+
+
+def test_pooling_sums_left_to_right_whatever_the_builtin_sum(monkeypatch):
+    # Python 3.12's sum() compensates float rounding; 3.11's adds left to right.
+    # Pooling must give the same bits under either, so stand in math.fsum.
+    rng = np.random.default_rng(23)
+    ds = rng.uniform(-2.0, 2.0, 20_000).tolist()
+    ses = rng.uniform(0.05, 2.0, 20_000).tolist()
+    studies = [direct(f"s{i}", d, se) for i, (d, se) in enumerate(zip(ds, ses))]
+    plain = fixed_effect_pool(studies)
+    ws = [1.0 / (se * se) for se in ses]
+    w_total = pooled_num = 0.0
+    for d, w in zip(ds, ws):
+        w_total += w
+        pooled_num += w * d
+    assert (plain.pooled_d, plain.pooled_se) == (pooled_num / w_total, math.sqrt(1.0 / w_total))
+    assert math.fsum(ws) != w_total  # the compensated sum would move the result
+    monkeypatch.setattr(meta, "sum", math.fsum, raising=False)
+    compensated = fixed_effect_pool(studies)
+    assert (compensated.pooled_d, compensated.pooled_se, compensated.q_statistic) == (
+        plain.pooled_d, plain.pooled_se, plain.q_statistic)
 
 
 # ---------------------------------------------------------------------------

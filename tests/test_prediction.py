@@ -220,11 +220,94 @@ def test_back_solve_t_quantile_calls(monkeypatch):
         d = float(rng.uniform(-1.5, 1.5))
         n = 2 * int(rng.integers(5, 401))
         grid.append((d, prediction_interval(equal_arm_design(d, n, n))))
+    counts = []
     for d, interval in grid:
         calls.clear()
         back_solve_n(d, interval)
-        assert len(calls) <= 27
+        counts.append(len(calls))
+        assert len(calls) <= 8
         assert all(df == int(df) for df in calls)
+    assert np.mean(counts) <= 5
+
+
+def equal_arm_half_width(d, m, level):
+    se = standard_error_d(d, m, m)
+    return prediction._half_width(se, se, 2 * m - 2, level)
+
+
+def bisect_back_solve(d_orig, interval):
+    # Reference: bisection over the whole per-arm range m in [2, 5e6].
+    target = interval.width / 2.0
+
+    def half_width(m):
+        return equal_arm_half_width(d_orig, m, interval.level)
+
+    lo, hi = 2, 5_000_000
+    w_lo = half_width(lo)
+    if w_lo < target:
+        raise NoSolutionError(f"half-width {target:.4g} exceeds the n={2 * lo} maximum")
+    w_hi = half_width(hi)
+    if w_hi > target:
+        raise NoSolutionError(f"half-width {target:.4g} is below the n={2 * hi} minimum")
+    while hi - lo > 1:
+        mid = (lo + hi) // 2
+        w_mid = half_width(mid)
+        if w_mid > target:
+            lo, w_lo = mid, w_mid
+        else:
+            hi, w_hi = mid, w_mid
+    return 2 * (lo if w_lo - target <= target - w_hi else hi)
+
+
+def outcome(solve, d, interval):
+    try:
+        return solve(d, interval)
+    except (DomainError, NoSolutionError) as exc:
+        return type(exc), str(exc)
+
+
+def equivalence_cases():
+    rng = np.random.default_rng(17)
+    cases = [
+        (0.101, Interval(-0.33, 0.53, 0.95)),
+        (-0.176, Interval(-0.84, 0.48, 0.95)),
+        (1.430, Interval(0.05, 2.76, 0.95)),
+        (-0.8969962700511873, Interval(-0.8995489080496838, -0.8944436320526908, 0.5)),
+        (math.nan, Interval(-1.0, 1.0, 0.95)),
+        (1e200, Interval(0.9e200, 1.1e200, 0.95)),
+    ]
+    # targets equal to a half-width, ends of the range included: ties resolve alike
+    for m in (2, 3, 1000, 4_999_999, 5_000_000):
+        half = equal_arm_half_width(0.0, m, 0.95)
+        cases.append((0.0, Interval(-half, half, 0.95)))
+    # targets just past either end of the range
+    for level in (0.5, 0.95, 0.999):
+        for d in (0.0, 3.0):
+            for m, beyond in ((2, math.inf), (5_000_000, 0.0)):
+                half = math.nextafter(equal_arm_half_width(d, m, level), beyond)
+                cases.append((d, Interval(d - half, d + half, level)))
+    # a level so small that z = t = 0: every half-width is 0
+    cases += [(0.0, Interval(-1.0, 1.0, 1e-17)), (0.0, Interval(0.0, 0.0, 1e-17))]
+    for _ in range(2000):
+        d = float(rng.uniform(-3.0, 3.0))
+        # 1e-4 is below every n = 1e7 half-width, 1e2 above every n = 4 one
+        half = float(10 ** rng.uniform(-4.0, 2.0))
+        cases.append((d, Interval(d - half, d + half, float(rng.uniform(0.5, 0.999)))))
+    return cases
+
+
+def test_back_solve_matches_full_range_bisection():
+    cases = equivalence_cases()
+    got = [outcome(back_solve_n, d, interval) for d, interval in cases]
+    want = [outcome(bisect_back_solve, d, interval) for d, interval in cases]
+    assert [c for c, g, w in zip(cases, got, want) if g != w] == []
+    assert got[:4] == [168, 74, 24, 614728]
+    not_finite = (DomainError, "prediction interval half-width is not finite")
+    assert got[4:6] == [not_finite, not_finite]
+    # the grid reaches past both ends of the n = 4 .. 1e7 range
+    messages = {g[1].split(" the ")[-1] for g in got if isinstance(g, tuple)}
+    assert messages >= {"n=4 maximum", "n=10000000 minimum"}
+    assert sum(isinstance(g, int) for g in got) > 1000
 
 
 def test_back_solve_rejects_asymmetric_interval():
