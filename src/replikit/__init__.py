@@ -9,7 +9,10 @@ meta-analysis (`fixed_effect_pool`).
 The package exports the names that workflow uses. The t distribution, the
 SVG renderers, the plot models and batch export are imported from their
 modules (`replikit.stats_core`, `replikit.svg`, `replikit.meta`,
-`replikit.io`).
+`replikit.simulation`).
+
+Only the simulation engine needs numpy. Its six names here load it on first
+use, so importing the package, or running any other command, does not.
 """
 
 from .effect_size import (
@@ -35,14 +38,6 @@ from .errors import (
 from .io import parse_study_csv, serialize_study_csv
 from .meta import StudySummary, fixed_effect_pool
 from .prediction import ReplicationDesign, back_solve_n, confirms, prediction_interval
-from .simulation import (
-    SimulationConfig,
-    pair_replications,
-    pairing_stream,
-    run_simulation,
-    tabulate_categories,
-    tabulate_sign_agreement,
-)
 from .stats_core import ContaminationSpec, SampleSummary, normal_quantile, t_quantile
 
 __version__ = "1.0.0"
@@ -83,3 +78,14 @@ __all__ = [
     "tabulate_categories",
     "tabulate_sign_agreement",
 ]
+
+_ENGINE_NAMES = frozenset({"SimulationConfig", "pair_replications", "pairing_stream",
+                           "run_simulation", "tabulate_categories", "tabulate_sign_agreement"})
+
+
+def __getattr__(name: str):
+    if name in _ENGINE_NAMES:
+        from . import simulation
+
+        return getattr(simulation, name)
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")

@@ -20,26 +20,9 @@ from typing import Mapping, Sequence
 
 from .effect_size import EffectSize, classify, cohens_d, confidence_interval, standard_error_d
 from .errors import ParseError, ReplikitError, UnsupportedFormatError
-from .io import (
-    OutputFormat,
-    Percent,
-    Table,
-    batch_to_csv,
-    config_lines,
-    parse_study_csv,
-    render,
-)
+from .io import OutputFormat, Percent, Table, config_lines, parse_study_csv, render
 from .meta import fixed_effect_pool, forest_model, funnel_data
 from .prediction import ReplicationDesign, confirms, prediction_interval
-from .simulation import (
-    SimulationConfig,
-    boxplot_summary,
-    pair_replications,
-    pairing_stream,
-    run_simulation,
-    tabulate_categories,
-    tabulate_sign_agreement,
-)
 from .stats_core import ContaminationSpec, SampleSummary
 from .svg import render_forest_svg, render_funnel_svg
 
@@ -174,11 +157,14 @@ def _true_effect(text: str) -> float:
 
 
 def _cmd_simulate(args: argparse.Namespace) -> int:
+    # The engine loads numpy; only this command pays for it.
+    from . import simulation as sim
+
     fmt = OutputFormat(args.format)
     spec = None
     if args.dist == "mixed":
         spec = ContaminationSpec(epsilon=args.epsilon, scale_mult=args.scale_mult)
-    config = SimulationConfig(
+    config = sim.SimulationConfig(
         runs=args.runs,
         n_per_arm=args.n_per_arm,
         mu=args.mu,
@@ -187,13 +173,13 @@ def _cmd_simulate(args: argparse.Namespace) -> int:
         contamination=spec,
         master_seed=args.seed,
     )
-    batch = run_simulation(config, workers=args.workers)
-    categories = tabulate_categories(batch)
-    signs = tabulate_sign_agreement(pair_replications(batch, pairing_stream(config)))
+    batch = sim.run_simulation(config, workers=args.workers)
+    categories = sim.tabulate_categories(batch)
+    signs = sim.tabulate_sign_agreement(sim.pair_replications(batch, sim.pairing_stream(config)))
     label = f"{args.effect}-{args.dist}"
-    box = boxplot_summary(batch)
+    box = sim.boxplot_summary(batch)
     if args.dump_batch:
-        Path(args.dump_batch).write_text(batch_to_csv(batch), encoding="utf-8")
+        Path(args.dump_batch).write_text(sim.batch_to_csv(batch), encoding="utf-8")
 
     echo = {
         "runs": config.runs, "n_per_arm": config.n_per_arm,

@@ -7,8 +7,6 @@ import math
 from dataclasses import dataclass
 from enum import Enum
 
-import numpy as np
-
 from .errors import DegenerateSampleError, DomainError
 from .stats_core import SampleSummary, normal_quantile
 
@@ -117,8 +115,9 @@ def cohens_d(arm1: SampleSummary, arm2: SampleSummary, hedges: bool = False) -> 
     ``hedges=True`` the exact small-sample correction is applied to both d
     and its se (off by default). A pooled sd that is not finite (the
     variances overflow for sds above about 1e154) raises DomainError, the
-    same rule as ``cohens_d_rows``. When both sds are below 2^-511, whose
-    squares would be subnormal, they are squared at a power-of-two scale.
+    same rule as ``simulation.cohens_d_rows``. When both sds are below
+    2^-511, whose squares would be subnormal, they are squared at a
+    power-of-two scale.
     """
     sd1, sd2, scale = arm1.sd, arm2.sd, 0
     if max(sd1, sd2) < _TINY_SD:
@@ -139,39 +138,6 @@ def cohens_d(arm1: SampleSummary, arm2: SampleSummary, hedges: bool = False) -> 
         j = hedges_correction(arm1.n + arm2.n - 2)
         d, se = j * d, j * se
     return EffectSize(d=d, se=se, n1=arm1.n, n2=arm2.n)
-
-
-def cohens_d_rows(
-    mean1: np.ndarray, sd1: np.ndarray, mean2: np.ndarray, sd2: np.ndarray, n1: int, n2: int
-) -> tuple[np.ndarray, np.ndarray]:
-    """Row-wise ``cohens_d`` (no Hedges correction) as (d, se) arrays, each row
-    bit-identical to the scalar path and rejected with the error it raises.
-
-    The scalar ``cohens_d`` stays a separate kernel: study pooling derives one
-    effect per study row, and for one study this kernel's numpy calls cost
-    about ten times the scalar arithmetic (27-29 us with floats or 1-element
-    arrays against 2.4-4.3 us; 2-vCPU VM, Python 3.11, numpy 2.4).
-    """
-    if not all(np.isfinite(a).all() for a in (mean1, sd1, mean2, sd2)):
-        raise DomainError("mean and sd must be finite")
-    # np.float_power is libm pow, like the scalar ``sd**2``; numpy's ``sd**2``
-    # is sd*sd, which differs in the last bit for about 0.1 % of values.
-    sd_max = np.maximum(sd1, sd2)
-    scale = np.where(sd_max < _TINY_SD, np.frexp(sd_max)[1], 0)
-    sd1, sd2 = np.ldexp(sd1, -scale), np.ldexp(sd2, -scale)
-    with np.errstate(over="ignore"):
-        var_sum = (n1 - 1) * np.float_power(sd1, 2.0) + (n2 - 1) * np.float_power(sd2, 2.0)
-    sp = np.ldexp(np.sqrt(var_sum / (n1 + n2 - 2)), scale)
-    if not np.isfinite(sp).all():
-        raise DomainError(_NON_FINITE_SD)
-    if not sp.all():
-        raise DegenerateSampleError("pooled standard deviation is zero; d undefined")
-    d = (mean1 - mean2) / sp
-    n = n1 + n2
-    se = np.sqrt(n / (n1 * n2) + d * d / (2.0 * n))
-    if not (np.isfinite(d).all() and np.isfinite(se).all()):
-        raise DomainError("d and se must be finite")
-    return d, se
 
 
 def classify(d: float) -> EffectCategory:

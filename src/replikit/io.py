@@ -1,10 +1,11 @@
-"""Study-file parsing, the one text/csv/json renderer, and batch export.
+"""Study-file parsing and the one text/csv/json renderer, in pure Python.
 
 Each command hands ``render`` its config echo and its result as ordered
 tables; per-type rules decide how a value looks in each format. Renders are
 pure functions of their inputs: no timestamps, no locale formatting,
 decimal point always ``.``. Text mode prints 4 significant digits; csv and
-json carry full precision.
+json carry full precision. The batch export ``batch_to_csv`` lives with
+the engine in ``replikit.simulation``, so this module loads no numpy.
 """
 
 from __future__ import annotations
@@ -19,7 +20,6 @@ from typing import Mapping, Sequence
 from .effect_size import EffectCategory, category_label
 from .errors import ParseError, UnsupportedFormatError
 from .meta import StudySummary
-from .simulation import SimulationBatch
 from .stats_core import SampleSummary
 
 
@@ -268,18 +268,3 @@ def render(
     if fmt is OutputFormat.CSV:
         return body, config_lines(config)
     return config_lines(config) + body, ""
-
-
-# ---------------------------------------------------------------------------
-# Batch export
-# ---------------------------------------------------------------------------
-
-def batch_to_csv(batch: SimulationBatch) -> str:
-    """One ``index,d,se,n1,n2`` row per experiment, in ``csv.writer``'s
-    dialect: ``\r\n`` line ends, and no field needs quoting."""
-    n = batch.config.n_per_arm
-    rows = [
-        f"{i},{d!r},{se!r},{n},{n}\r\n"
-        for i, (d, se) in enumerate(zip(batch.d.tolist(), batch.se.tolist()))
-    ]
-    return "index,d,se,n1,n2\r\n" + "".join(rows)

@@ -84,7 +84,8 @@ def back_solve_n(d_orig: float, interval: Interval) -> int:
     half-width decreases in m, so this ends on the same pair as bisecting all
     of [2, 5e6], and asks for a large df only when the answer is that large.
     """
-    if abs(interval.midpoint - d_orig) > _CENTER_TOLERANCE:
+    # An interval with both ends infinite has a nan centre, which lies near no d.
+    if math.isnan(interval.midpoint) or abs(interval.midpoint - d_orig) > _CENTER_TOLERANCE:
         raise InconsistentIntervalError(
             f"interval center {interval.midpoint:.4g} is not within "
             f"{_CENTER_TOLERANCE} of d={d_orig:.4g}"

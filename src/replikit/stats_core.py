@@ -1,80 +1,22 @@
-"""Numeric substrate: seedable substreams, normal and contaminated-normal
-sampling, sample summaries, and Student-t / normal quantiles.
+"""Numeric substrate in pure Python: sample summaries, the contamination
+spec, and Student-t / normal quantiles.
 
 The t distribution is evaluated through the regularized incomplete beta
 function (continued fraction), so the package needs no external statistics
 dependency and the quantile can be checked against an integration oracle.
+Nothing here imports numpy; the random streams and draws live with the
+engine in ``replikit.simulation``.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Sequence
-
-import numpy as np
 
 from .errors import ConvergenceError, DomainError, InsufficientDataError
 
-_UINT64_MAX = 2**64 - 1
-
-
 # ---------------------------------------------------------------------------
-# Random streams
-# ---------------------------------------------------------------------------
-
-@dataclass(frozen=True)
-class RandomStream:
-    """Value identifying one reproducible draw sequence.
-
-    A stream is a pure function of ``(master_seed, stream_index)``: the same
-    pair always yields the identical sequence, and distinct indices yield
-    statistically independent sequences. Streams are plain values, safe to
-    share across threads.
-    """
-
-    master_seed: int
-    stream_index: int
-
-    def __post_init__(self) -> None:
-        if not 0 <= self.master_seed <= _UINT64_MAX:
-            raise DomainError(f"master_seed must be a 64-bit unsigned integer, got {self.master_seed}")
-        if not 0 <= self.stream_index <= _UINT64_MAX:
-            raise DomainError(f"stream_index must be in [0, 2^64), got {self.stream_index}")
-
-    def generator(self) -> np.random.Generator:
-        """Materialize a fresh generator positioned at the start of the stream."""
-        bitgen = np.random.Philox(0)
-        bitgen.state = _philox_state(self.master_seed, self.stream_index)
-        return np.random.Generator(bitgen)
-
-
-def derive_substream(master_seed: int, index: int) -> RandomStream:
-    """Deterministically derive the ``index``-th substream of ``master_seed``."""
-    return RandomStream(master_seed, index)
-
-
-def _philox_state(master_seed: int, index: int) -> dict:
-    # Counter-based Philox keyed on (seed, index): substreams are independent
-    # of thread count and scheduling by construction. This is the state a
-    # fresh Philox(key=[seed, index]) starts from (counter 0, empty buffer);
-    # assigning it re-keys a bit generator without building a new one, and
-    # without the OS-entropy SeedSequence that Philox(key=...) also runs.
-    return {
-        "bit_generator": "Philox",
-        "state": {
-            "counter": np.zeros(4, dtype=np.uint64),
-            "key": np.array([master_seed, index], dtype=np.uint64),
-        },
-        "buffer": np.zeros(4, dtype=np.uint64),
-        "buffer_pos": 4,
-        "has_uint32": 0,
-        "uinteger": 0,
-    }
-
-
-# ---------------------------------------------------------------------------
-# Sampling
+# Sample summaries
 # ---------------------------------------------------------------------------
 
 @dataclass(frozen=True)
@@ -107,84 +49,6 @@ class SampleSummary:
             raise DomainError("mean and sd must be finite")
         if self.sd < 0:
             raise DomainError(f"sd must be >= 0, got {self.sd}")
-
-
-def _check_sampling_args(sigma: float, n: int) -> None:
-    if not sigma > 0:
-        raise DomainError(f"sigma must be > 0, got {sigma}")
-    if n < 1:
-        raise DomainError(f"n must be >= 1, got {n}")
-
-
-def draw_normal(gen: np.random.Generator, mu: float, sigma: float, n: int) -> np.ndarray:
-    """n normal draws from an already-positioned generator.
-
-    Generation is standardized-then-scaled: z ~ N(0,1) is drawn first and
-    mu + sigma*z emitted, so the standardized draws are identical across
-    (mu, sigma) for a fixed stream position.
-    """
-    _check_sampling_args(sigma, n)
-    z = gen.standard_normal(n)
-    return mu + sigma * z
-
-
-def draw_contaminated(
-    gen: np.random.Generator, mu: float, sigma: float, spec: ContaminationSpec, n: int
-) -> np.ndarray:
-    """n contaminated-normal draws from an already-positioned generator."""
-    _check_sampling_args(sigma, n)
-    # z before u: with epsilon = 0 the output is bit-identical to draw_normal
-    # on the same stream position.
-    z = gen.standard_normal(n)
-    u = gen.random(n)
-    scale = np.where(u < spec.epsilon, spec.scale_mult, 1.0)
-    return mu + sigma * (scale * z)
-
-
-def draw_rows(
-    master_seed: int, indices: range, n: int, spec: ContaminationSpec | None = None
-) -> np.ndarray:
-    """One row of n standard draws per substream in ``indices``, as a (len(indices), n) matrix.
-
-    Row r equals ``draw_normal(gen, 0.0, 1.0, n)`` (or, given ``spec``,
-    ``draw_contaminated(gen, 0.0, 1.0, spec, n)``) on
-    ``derive_substream(master_seed, indices[r]).generator()``: one Philox is
-    re-keyed for each row instead of being built per substream.
-    """
-    if n < 1:
-        raise DomainError(f"n must be >= 1, got {n}")
-    if indices:
-        # A range is monotone: if both ends are valid substreams, all are.
-        derive_substream(master_seed, indices[0])
-        derive_substream(master_seed, indices[-1])
-    z = np.empty((len(indices), n))
-    u = None if spec is None else np.empty_like(z)
-    state = _philox_state(master_seed, 0)
-    key = state["state"]["key"]
-    bitgen = np.random.Philox(0)
-    gen = np.random.Generator(bitgen)
-    for row, i in enumerate(indices):
-        key[1] = i
-        bitgen.state = state
-        # z before u, per row, as in draw_contaminated.
-        gen.standard_normal(out=z[row])
-        if u is not None:
-            gen.random(out=u[row])
-    # In place, the same doubles as the kernel's scale * z: scale is
-    # scale_mult where u < epsilon, and 1.0 * z == z elsewhere.
-    if u is not None:
-        np.multiply(z, spec.scale_mult, out=z, where=u < spec.epsilon)
-    return z
-
-
-def summarize(sample: Sequence[float] | np.ndarray) -> SampleSummary:
-    """Count, mean, and n-1-denominator standard deviation of a sample."""
-    arr = np.asarray(sample, dtype=float)
-    if arr.ndim != 1:
-        raise DomainError("sample must be one-dimensional")
-    if arr.size < 2:
-        raise InsufficientDataError(f"need at least 2 observations, got {arr.size}")
-    return SampleSummary(n=int(arr.size), mean=float(arr.mean()), sd=float(arr.std(ddof=1)))
 
 
 # ---------------------------------------------------------------------------
@@ -384,3 +248,18 @@ def t_quantile(p: float, df: float) -> float:
             return x_new
         x = x_new
     raise ConvergenceError(f"t quantile iteration did not converge (p={p}, df={df})")
+
+
+# Stop-gap: perfbench's dump-row oracle (``recompute_experiment``) still looks
+# these engine names up here. They live in ``replikit.simulation`` and load
+# numpy, so they resolve on first use only. The benchmark change that
+# recomputes dump rows from ``draw_rows`` retires this (ROADMAP item 5).
+_ENGINE_NAMES = frozenset({"derive_substream", "draw_normal", "draw_contaminated", "summarize"})
+
+
+def __getattr__(name: str):
+    if name in _ENGINE_NAMES:
+        from . import simulation
+
+        return getattr(simulation, name)
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")

@@ -194,7 +194,7 @@ def test_simulate_out_of_memory_exits_3_with_one_line(monkeypatch, capsys):
         raise MemoryError
 
     # Stands in for the np.empty that fails on a batch too large for memory.
-    monkeypatch.setattr("replikit.cli.run_simulation", exhausted)
+    monkeypatch.setattr("replikit.simulation.run_simulation", exhausted)
     assert main(["simulate", "--runs", "100000000000"]) == 3
     captured = capsys.readouterr()
     assert captured.out == ""

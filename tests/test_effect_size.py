@@ -19,7 +19,8 @@ from replikit import (
     confidence_interval,
     standard_error_d,
 )
-from replikit.effect_size import category_label, classify, cohens_d_rows, hedges_correction
+from replikit.effect_size import category_label, classify, hedges_correction
+from replikit.simulation import cohens_d_rows
 
 arm_ns = st.integers(min_value=2, max_value=1000)
 arm_means = st.floats(min_value=-1e3, max_value=1e3)

@@ -19,8 +19,8 @@ from replikit import (
     run_simulation,
     serialize_study_csv,
 )
-from replikit.io import OutputFormat, Percent, Table, batch_to_csv, fmt4, render
-from replikit.simulation import SignAgreementTable
+from replikit.io import OutputFormat, Percent, Table, fmt4, render
+from replikit.simulation import SignAgreementTable, batch_to_csv
 
 HEADER = "study_id,label,n1,n2,mean1,mean2,sd1,sd2,d,se"
 

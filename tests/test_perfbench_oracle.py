@@ -15,7 +15,7 @@ from pathlib import Path
 import pytest
 
 from replikit import ContaminationSpec, SimulationConfig, run_simulation
-from replikit.io import batch_to_csv
+from replikit.simulation import batch_to_csv
 
 WORKLOADS = Path(__file__).resolve().parents[1] / "perfbench" / "workloads.py"
 

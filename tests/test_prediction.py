@@ -315,6 +315,13 @@ def test_back_solve_rejects_asymmetric_interval():
         back_solve_n(0.0, Interval(-0.5, 1.0, 0.95))
 
 
+@pytest.mark.parametrize("d", [5.0, -40.0])
+def test_back_solve_rejects_an_interval_without_a_centre(d):
+    # (-inf + inf) / 2 is nan; a nan centre must not pass as within 0.05 of d.
+    with pytest.raises(InconsistentIntervalError, match="interval center nan"):
+        back_solve_n(d, Interval(-math.inf, math.inf, 0.95))
+
+
 def test_back_solve_unreachable_targets():
     with pytest.raises(NoSolutionError):
         back_solve_n(0.0, Interval(-100.0, 100.0, 0.95))

@@ -20,8 +20,15 @@ from replikit import (
     tabulate_categories,
     tabulate_sign_agreement,
 )
-from replikit.simulation import MAX_N_PER_ARM, SimulationBatch, boxplot_summary
-from replikit.stats_core import derive_substream, draw_contaminated, draw_normal, summarize
+from replikit.simulation import (
+    MAX_N_PER_ARM,
+    SimulationBatch,
+    boxplot_summary,
+    derive_substream,
+    draw_contaminated,
+    draw_normal,
+    summarize,
+)
 
 
 def small_config(**overrides):

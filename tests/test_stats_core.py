@@ -1,6 +1,8 @@
 """Numeric substrate tests.
 
-Special functions are checked against two independent routes: scipy
+The random streams, draw kernels and ``summarize`` live in
+``replikit.simulation`` (they need numpy) and are tested here with the rest
+of the substrate. Special functions are checked against two independent routes: scipy
 (betainc / t.cdf / t.ppf / norm.ppf) and, for the quantile, a quadrature
 plus root-finding oracle built from the textbook density. All frozen
 tolerances were set from measured deviations with a 10-100x safety factor.
@@ -24,17 +26,15 @@ from replikit import (
     normal_quantile,
     t_quantile,
 )
-from replikit.stats_core import (
+from replikit.simulation import (
     RandomStream,
     derive_substream,
     draw_contaminated,
     draw_normal,
     draw_rows,
-    regularized_incomplete_beta,
     summarize,
-    t_cdf,
-    t_pdf,
 )
+from replikit.stats_core import regularized_incomplete_beta, t_cdf, t_pdf
 
 
 # ---------------------------------------------------------------------------
