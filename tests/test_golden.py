@@ -8,8 +8,10 @@ when an output change is intended::
 """
 
 import contextlib
+import csv
 import io
 import os
+import random
 import shutil
 import sys
 from pathlib import Path
@@ -20,6 +22,7 @@ from replikit.cli import main
 
 GOLDEN = Path(__file__).parent / "golden"
 STUDIES = "studies.csv"
+STUDIES_LARGE = "studies-large.csv"
 WRITTEN = ("dump.csv", "plot.svg")
 
 EFFECT = [
@@ -39,6 +42,7 @@ TABLE_CASES = {
     "pi": PI,
     "pi-check": PI + ["--check", "0.3"],
     "meta": ["meta", STUDIES],
+    "meta-large": ["meta", STUDIES_LARGE],
 }
 
 CASES = {
@@ -51,15 +55,60 @@ CASES.update({
     "funnel-svg": ["funnel", STUDIES],
     "forest-output": ["forest", STUDIES, "--output", "plot.svg"],
     "funnel-output": ["funnel", STUDIES, "--output", "plot.svg"],
+    "forest-large-output": ["forest", STUDIES_LARGE, "--output", "plot.svg"],
+    "funnel-large-output": ["funnel", STUDIES_LARGE, "--output", "plot.svg"],
     "forest-text-rejected": ["forest", STUDIES, "--format", "text"],
     "effect-svg-rejected": EFFECT + ["--format", "svg"],
     "meta-svg-rejected": ["meta", STUDIES, "--format", "svg"],
 })
 
 
+def large_studies_csv(seed: int = 9, rows: int = 300) -> str:
+    """The seeded study file behind the ``*-large`` cases.
+
+    It holds both input forms, labels with ``,`` ``"`` and ``<&>``, blank and
+    whitespace-only lines, padded cells, direct-form rows that carry n1/n2,
+    and arm rows whose sds lie near 2^-520.
+    """
+    rng = random.Random(seed)
+    labels = ["Plain", "Comma, label", 'Quote "q"', "Escapes <&>", 'All, "of" <&>', "Müller"]
+
+    def num(x: float) -> str:
+        text = repr(x) if rng.random() < 0.3 else f"{x:.{rng.randint(3, 8)}g}"
+        return f"  {text} " if rng.random() < 0.15 else text
+
+    buf = io.StringIO()
+    writer = csv.writer(buf, lineterminator="\n")
+    writer.writerow(["study_id", "label", "n1", "n2", "mean1", "mean2", "sd1", "sd2", "d", "se"])
+    for i in range(rows):
+        study_id = f" s{i} " if rng.random() < 0.1 else f"s{i}"
+        label = f"{labels[i % len(labels)]} {i}"
+        if rng.random() < 0.1:
+            label = f"  {label} "
+        n1, n2 = str(rng.randint(2, 200)), str(rng.randint(2, 200))
+        kind = rng.random()
+        if kind < 0.4:
+            means = [num(rng.gauss(100.0, 15.0)) for _ in range(2)]
+            sds = [num(rng.uniform(5.0, 30.0)) for _ in range(2)]
+            cells = [n1, n2, *means, *sds, "", ""]
+        elif kind < 0.5:
+            tiny = 2.0**-520
+            means = [num(rng.uniform(-1.0, 1.0) * tiny) for _ in range(2)]
+            sds = [num(rng.uniform(0.5, 2.0) * tiny) for _ in range(2)]
+            cells = [n1, n2, *means, *sds, "", ""]
+        else:
+            sizes = [n1, n2] if kind < 0.75 else ["", ""]
+            cells = [*sizes, "", "", "", "", num(rng.uniform(-1.5, 1.5)), num(rng.uniform(0.05, 1.0))]
+        writer.writerow([study_id, label, *cells])
+        if i % 37 == 5:
+            buf.write(rng.choice(["\n", "   \n", " , ,,, , ,,,, \n"]))
+    return buf.getvalue()
+
+
 def run_case(argv: list[str], workdir: Path) -> dict[str, bytes]:
     """Run one CLI case in ``workdir``; return its outputs keyed by golden suffix."""
-    shutil.copy(GOLDEN / STUDIES, workdir / STUDIES)
+    for name in (STUDIES, STUDIES_LARGE):
+        shutil.copy(GOLDEN / name, workdir / name)
     out, err = io.StringIO(), io.StringIO()
     cwd = os.getcwd()
     os.chdir(workdir)
@@ -97,8 +146,12 @@ def test_cli_output_matches_golden(case, tmp_path):
         assert actual[suffix] == data, f"{case}.{suffix} differs"
 
 
+def test_large_study_file_matches_its_generator():
+    assert (GOLDEN / STUDIES_LARGE).read_text(encoding="utf-8") == large_studies_csv()
+
+
 def test_golden_directory_has_no_stray_files():
-    names = {STUDIES} | {
+    names = {STUDIES, STUDIES_LARGE} | {
         f"{case}.{suffix}" for case in CASES for suffix in ("stdout", "stderr", "exit", *WRITTEN)
     }
     stray = [p.name for p in GOLDEN.iterdir() if p.name not in names]
@@ -108,6 +161,7 @@ def test_golden_directory_has_no_stray_files():
 if __name__ == "__main__":
     import tempfile
 
+    (GOLDEN / STUDIES_LARGE).write_text(large_studies_csv(), encoding="utf-8")
     for case, argv in sorted(CASES.items()):
         for old in GOLDEN.glob(f"{case}.*"):
             old.unlink()
