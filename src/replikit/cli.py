@@ -219,11 +219,16 @@ def _cmd_pi(args: argparse.Namespace) -> int:
     return _emit(fmt, config, [Table(rows)])
 
 
-def _read_studies(path: str):
+def _read_studies(args: argparse.Namespace):
+    """The command's study file, read only once its --format is known to be valid."""
+    if args.command == "meta" and args.format == OutputFormat.SVG.value:
+        raise UnsupportedFormatError("meta renders tables; use forest or funnel for svg")
+    if args.command != "meta" and args.format != OutputFormat.SVG.value:
+        raise UnsupportedFormatError(f"{args.command} renders svg only; got --format {args.format}")
     try:
-        content = Path(path).read_bytes()
+        content = Path(args.path).read_bytes()
     except OSError as exc:
-        raise ParseError(f"cannot read {path}: {exc}") from None
+        raise ParseError(f"cannot read {args.path}: {exc}") from None
     return parse_study_csv(content)
 
 
@@ -235,24 +240,18 @@ def _study_config(args: argparse.Namespace, studies: Sequence[object]) -> dict[s
 
 
 def _cmd_meta(args: argparse.Namespace) -> int:
-    fmt = OutputFormat(args.format)
-    studies = _read_studies(args.path)
+    studies = _read_studies(args)
     result = fixed_effect_pool(studies, level=args.level)
-    if fmt is OutputFormat.SVG:
-        raise UnsupportedFormatError("meta renders tables; use forest or funnel for svg")
     rows = [
         ("pooled_d", result.pooled_d), ("pooled_se", result.pooled_se),
         ("ci_lower", result.ci.lower), ("ci_upper", result.ci.upper),
         ("q", result.q_statistic), ("i_squared", result.i_squared),
         ("weights", result.weights),
     ]
-    return _emit(fmt, _study_config(args, studies), [Table(rows)])
+    return _emit(OutputFormat(args.format), _study_config(args, studies), [Table(rows)])
 
 
 def _render_plot(args: argparse.Namespace, svg_text: str, studies: Sequence[object]) -> int:
-    fmt = OutputFormat(args.format)
-    if fmt is not OutputFormat.SVG:
-        raise UnsupportedFormatError(f"{args.command} renders svg only; got --format {fmt.value}")
     sys.stderr.write(config_lines(_study_config(args, studies)))
     if args.output:
         Path(args.output).write_text(svg_text, encoding="utf-8")
@@ -262,13 +261,13 @@ def _render_plot(args: argparse.Namespace, svg_text: str, studies: Sequence[obje
 
 
 def _cmd_forest(args: argparse.Namespace) -> int:
-    studies = _read_studies(args.path)
+    studies = _read_studies(args)
     pooled = fixed_effect_pool(studies, level=args.level)
     return _render_plot(args, render_forest_svg(forest_model(studies, pooled)), studies)
 
 
 def _cmd_funnel(args: argparse.Namespace) -> int:
-    studies = _read_studies(args.path)
+    studies = _read_studies(args)
     return _render_plot(args, render_funnel_svg(funnel_data(studies)), studies)
 
 

@@ -107,33 +107,42 @@ def hedges_correction(df: int) -> float:
     return math.exp(math.lgamma(df / 2.0) - math.lgamma((df - 1) / 2.0)) / math.sqrt(df / 2.0)
 
 
-def cohens_d(arm1: SampleSummary, arm2: SampleSummary, hedges: bool = False) -> EffectSize:
-    """Standardized mean difference between two arms.
+def _d_se(n1: int, mean1: float, sd1: float, n2: int, mean2: float, sd2: float):
+    """(d, se) of two arms: the scalar kernel of ``cohens_d`` and study pooling.
 
-    d = (mean1 - mean2) / sp, where sp is the degrees-of-freedom-weighted
-    pooled sd, with the standard error from ``standard_error_d``. With
-    ``hedges=True`` the exact small-sample correction is applied to both d
-    and its se (off by default). A pooled sd that is not finite (the
-    variances overflow for sds above about 1e154) raises DomainError, the
-    same rule as ``simulation.cohens_d_rows``. When both sds are below
-    2^-511, whose squares would be subnormal, they are squared at a
-    power-of-two scale.
+    A pooled sd that is zero or not finite (sds above about 1e154) raises, as
+    in ``simulation.cohens_d_rows``, and so does a d or se that ``EffectSize``
+    rejects. Both sds below 2^-511 are squared at a power-of-two scale.
     """
-    sd1, sd2, scale = arm1.sd, arm2.sd, 0
+    scale = 0
     if max(sd1, sd2) < _TINY_SD:
         scale = math.frexp(max(sd1, sd2))[1]
         sd1, sd2 = math.ldexp(sd1, -scale), math.ldexp(sd2, -scale)
     try:
-        var_sum = (arm1.n - 1) * sd1**2 + (arm2.n - 1) * sd2**2
+        var_sum = (n1 - 1) * sd1**2 + (n2 - 1) * sd2**2
     except OverflowError:  # float ``**`` raises where numpy would give inf
         var_sum = math.inf
-    sp = math.ldexp(math.sqrt(var_sum / (arm1.n + arm2.n - 2)), scale)
+    sp = math.ldexp(math.sqrt(var_sum / (n1 + n2 - 2)), scale)
     if not math.isfinite(sp):
         raise DomainError(_NON_FINITE_SD)
     if sp == 0.0:
         raise DegenerateSampleError("pooled standard deviation is zero; d undefined")
-    d = (arm1.mean - arm2.mean) / sp
-    se = standard_error_d(d, arm1.n, arm2.n)
+    d = (mean1 - mean2) / sp
+    se = standard_error_d(d, n1, n2)
+    if not math.isfinite(se):  # so is every se of a d that is not finite
+        EffectSize(d=d, se=se, n1=n1, n2=n2)  # raises with its message for d or se
+    return d, se
+
+
+def cohens_d(arm1: SampleSummary, arm2: SampleSummary, hedges: bool = False) -> EffectSize:
+    """Standardized mean difference between two arms.
+
+    d = (mean1 - mean2) / sp, where sp is the degrees-of-freedom-weighted
+    pooled sd, with the standard error from ``standard_error_d``; ``_d_se``
+    holds the rules for extreme sds. With ``hedges=True`` the exact
+    small-sample correction is applied to both d and its se (off by default).
+    """
+    d, se = _d_se(arm1.n, arm1.mean, arm1.sd, arm2.n, arm2.mean, arm2.sd)
     if hedges:
         j = hedges_correction(arm1.n + arm2.n - 2)
         d, se = j * d, j * se

@@ -1,5 +1,9 @@
 """Study-file parsing and the one text/csv/json renderer, in pure Python.
 
+``parse_study_csv`` reads a study file into a ``meta.StudyTable`` of
+columns in one pass, with the row checks of ``SampleSummary`` and
+``StudySummary`` and their row-numbered messages.
+
 Each command hands ``render`` its config echo and its result as ordered
 tables; per-type rules decide how a value looks in each format. Renders are
 pure functions of their inputs: no timestamps, no locale formatting,
@@ -15,12 +19,13 @@ import io as _stdio
 import json
 from dataclasses import dataclass
 from enum import Enum
+from itertools import islice
 from typing import Mapping, Sequence
 
 from .effect_size import EffectCategory, category_label
-from .errors import ParseError, UnsupportedFormatError
-from .meta import StudySummary
-from .stats_core import SampleSummary
+from .errors import DomainError, ParseError, UnsupportedFormatError
+from .meta import StudySummary, StudyTable, _check_study
+from .stats_core import _check_arm
 
 
 class OutputFormat(Enum):
@@ -32,54 +37,59 @@ class OutputFormat(Enum):
 
 STUDY_COLUMNS = ("study_id", "label", "n1", "n2", "mean1", "mean2", "sd1", "sd2", "d", "se")
 
-_ARM_COLUMNS = ("n1", "n2", "mean1", "mean2", "sd1", "sd2")
-_MEASURE_COLUMNS = ("mean1", "mean2", "sd1", "sd2")
-_DIRECT_COLUMNS = ("d", "se")
-
 
 def fmt4(x: float) -> str:
     """4-significant-digit text rendering."""
     return f"{x:.4g}"
 
 
-def _parse_number(raw: str, row_num: int, column: str, as_int: bool = False) -> float | int | None:
-    raw = raw.strip()
-    if raw == "":
-        return None
-    try:
-        value = float(raw)
-        if as_int:
-            if value != int(value):
-                raise ValueError
-            return int(value)
-        return value
-    except (ValueError, OverflowError):
-        kind = "an integer" if as_int else "a number"
-        raise ParseError(f"row {row_num}: column {column!r} must be {kind}, got {raw!r}") from None
+def _integral(value: float) -> int:
+    n = int(value)
+    if n != value:
+        raise ValueError
+    return n
 
 
-def parse_study_csv(content: str | bytes) -> list[StudySummary]:
-    """Parse the study CSV schema into study summaries.
+def _parse_numbers(row: list[str], row_num: int) -> list[float | int | None]:
+    """The numeric cells of a data row, ``None`` where blank, parsed one by
+    one so that the first bad cell in column order is the one reported."""
+    values = []
+    for column, text in zip(STUDY_COLUMNS[2:], row[2:]):
+        text = text.strip()
+        as_int = column in ("n1", "n2")
+        try:
+            values.append(None if not text else _integral(float(text)) if as_int else float(text))
+        except (ValueError, OverflowError):
+            kind = "an integer" if as_int else "a number"
+            raise ParseError(
+                f"row {row_num}: column {column!r} must be {kind}, got {text!r}"
+            ) from None
+    return values
+
+
+def parse_study_csv(content: str | bytes) -> StudyTable:
+    """Parse the study CSV schema into a column table of study summaries.
 
     The input form of each row (raw arm summaries vs precomputed d/se) is
     auto-detected from the populated columns; row numbers are 1-based over
-    data rows and reported in every error.
+    data rows and reported in every error. A leading UTF-8 byte-order mark,
+    as spreadsheet exports write, is dropped.
     """
     if isinstance(content, bytes):
         try:
-            content = content.decode("utf-8")
+            content = content.decode("utf-8-sig")
         except UnicodeDecodeError as exc:
             raise ParseError(f"study file is not valid UTF-8: {exc}") from None
+    elif content.startswith("\ufeff"):
+        content = content[1:]
     reader = csv.reader(_stdio.StringIO(content))
     try:
-        rows = iter(list(reader))
+        rows = list(reader)
     except csv.Error as exc:
         raise ParseError(f"study file is not valid CSV at line {reader.line_num}: {exc}") from None
-    try:
-        header = next(rows)
-    except StopIteration:
-        raise ParseError("study file is empty (no header row)") from None
-    header = [h.strip() for h in header]
+    if not rows:
+        raise ParseError("study file is empty (no header row)")
+    header = [h.strip() for h in rows[0]]
     if header != list(STUDY_COLUMNS):
         missing = [c for c in STUDY_COLUMNS if c not in header]
         extra = [c for c in header if c not in STUDY_COLUMNS]
@@ -93,63 +103,51 @@ def parse_study_csv(content: str | bytes) -> list[StudySummary]:
             + ("; " + "; ".join(detail) if detail else "; wrong column order")
         )
 
-    studies: list[StudySummary] = []
-    for row_num, row in enumerate(rows, start=1):
-        if not row or all(cell.strip() == "" for cell in row):
+    records = []
+    for row_num, row in enumerate(islice(rows, 1, None), start=1):
+        if not "".join(row).strip():
             continue
         if len(row) != len(STUDY_COLUMNS):
             raise ParseError(f"row {row_num}: expected {len(STUDY_COLUMNS)} fields, got {len(row)}")
-        rec = dict(zip(STUDY_COLUMNS, row))
-        study_id = rec["study_id"].strip()
-        label = rec["label"].strip()
+        study_id = row[0].strip()
         if not study_id:
             raise ParseError(f"row {row_num}: column 'study_id' must not be empty")
-        values = {
-            col: _parse_number(rec[col], row_num, col, as_int=col in ("n1", "n2"))
-            for col in STUDY_COLUMNS[2:]
-        }
-        arms_present = [c for c in _ARM_COLUMNS if values[c] is not None]
-        direct_present = [c for c in _DIRECT_COLUMNS if values[c] is not None]
-        arms_complete = len(arms_present) == len(_ARM_COLUMNS)
-        direct_complete = len(direct_present) == len(_DIRECT_COLUMNS)
+        # float() ignores padding itself. A whitespace-only or bad cell falls
+        # back to the cell-by-cell parse, which strips and names the first bad cell.
         try:
-            if arms_complete and direct_complete:
+            cells = [float(text) if text else None for text in row[2:]]
+            cells[:2] = [x if x is None else _integral(x) for x in cells[:2]]
+        except (ValueError, OverflowError):
+            cells = _parse_numbers(row, row_num)
+        n1, n2, mean1, mean2, sd1, sd2, d, se = cells
+        arms_complete = None not in cells[:6]
+        direct_complete = d is not None and se is not None
+        if arms_complete and direct_complete:
+            raise ParseError(
+                f"row {row_num}: ambiguous form, both arm summaries and d/se are populated"
+            )
+        if not (arms_complete or direct_complete):
+            present = [c for c, v in zip(STUDY_COLUMNS[2:], cells) if v is not None]
+            raise ParseError(
+                f"row {row_num}: no complete input form (populated: {present or 'nothing'}); "
+                f"give all of {list(STUDY_COLUMNS[2:8])} or both of {list(STUDY_COLUMNS[8:])}"
+            )
+        if direct_complete:
+            stray = [c for c, v in zip(STUDY_COLUMNS[4:8], cells[2:6]) if v is not None]
+            if stray:
                 raise ParseError(
-                    f"row {row_num}: ambiguous form, both arm summaries and d/se are populated"
+                    f"row {row_num}: columns {stray} populated but the arm form is incomplete"
                 )
+        try:
             if arms_complete:
-                study = StudySummary(
-                    study_id=study_id,
-                    label=label,
-                    arm1=SampleSummary(n=values["n1"], mean=values["mean1"], sd=values["sd1"]),
-                    arm2=SampleSummary(n=values["n2"], mean=values["mean2"], sd=values["sd2"]),
-                )
-            elif direct_complete:
-                stray = [c for c in _MEASURE_COLUMNS if values[c] is not None]
-                if stray:
-                    raise ParseError(
-                        f"row {row_num}: columns {stray} populated but the arm form is incomplete"
-                    )
-                study = StudySummary(
-                    study_id=study_id,
-                    label=label,
-                    d=values["d"],
-                    se=values["se"],
-                    n1=values["n1"],
-                    n2=values["n2"],
-                )
+                _check_arm(n1, mean1, sd1)
+                _check_arm(n2, mean2, sd2)
             else:
-                present = arms_present + direct_present
-                raise ParseError(
-                    f"row {row_num}: no complete input form (populated: {present or 'nothing'}); "
-                    f"give all of {list(_ARM_COLUMNS)} or both of {list(_DIRECT_COLUMNS)}"
-                )
-        except ParseError:
-            raise
-        except Exception as exc:
+                _check_study(study_id, d, se, n1, n2)
+        except DomainError as exc:
             raise ParseError(f"row {row_num}: {exc}") from None
-        studies.append(study)
-    return studies
+        records.append((study_id, row[1].strip(), *cells))
+    return StudyTable(*(zip(*records) if records else ((),) * len(STUDY_COLUMNS)))
 
 
 def _num_repr(x: float | int | None) -> str:

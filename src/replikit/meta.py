@@ -1,5 +1,6 @@
 """Fixed-effects inverse-variance pooling of standardized mean differences,
-heterogeneity statistics, and forest/funnel plot models."""
+heterogeneity statistics, and forest/funnel plot models. Pooling takes any
+sequence of ``StudySummary``; a ``StudyTable`` is pooled from its columns."""
 
 from __future__ import annotations
 
@@ -9,9 +10,25 @@ from functools import reduce
 from operator import add
 from typing import Sequence
 
-from .effect_size import Interval, cohens_d
+from .effect_size import Interval, _d_se, cohens_d
 from .errors import DomainError, InsufficientDataError
 from .stats_core import SampleSummary, normal_quantile
+
+
+def _check_study(study_id: str, d: float | None, se: float | None, n1, n2) -> None:
+    """Checks of a given (d, se) and of given sample sizes, shared with the parser."""
+    if d is not None:
+        if not math.isfinite(d):
+            raise DomainError(f"study {study_id!r}: d must be finite")
+        # se^2 then lies in [2^-1022, 2^1022], normal doubles, so the
+        # pooling weight 1/se^2 is finite and positive.
+        if not 2.0**-511 <= se <= 2.0**511:
+            raise DomainError(
+                f"study {study_id!r}: se must be in [2^-511, 2^511], where its "
+                f"weight 1/se^2 is finite and > 0; got {se!r}"
+            )
+    if (n1 is not None and n1 < 2) or (n2 is not None and n2 < 2):
+        raise DomainError(f"study {study_id!r}: n1 and n2 must be >= 2, got {n1} and {n2}")
 
 
 @dataclass(frozen=True)
@@ -44,20 +61,7 @@ class StudySummary:
             raise DomainError(f"study {self.study_id!r}: d and se must be given together")
         if not arms_complete and not direct_complete:
             raise DomainError(f"study {self.study_id!r}: no complete input form")
-        if direct_complete:
-            if not math.isfinite(self.d):
-                raise DomainError(f"study {self.study_id!r}: d must be finite")
-            # se^2 then lies in [2^-1022, 2^1022], normal doubles, so the
-            # pooling weight 1/se^2 is finite and positive.
-            if not 2.0**-511 <= self.se <= 2.0**511:
-                raise DomainError(
-                    f"study {self.study_id!r}: se must be in [2^-511, 2^511], where its "
-                    f"weight 1/se^2 is finite and > 0; got {self.se!r}"
-                )
-        if (self.n1 is not None and self.n1 < 2) or (self.n2 is not None and self.n2 < 2):
-            raise DomainError(
-                f"study {self.study_id!r}: n1 and n2 must be >= 2, got {self.n1} and {self.n2}"
-            )
+        _check_study(self.study_id, self.d, self.se, self.n1, self.n2)
 
     def effect(self) -> tuple[float, float]:
         """(d, se), computed from the arms when given as raw summaries."""
@@ -67,9 +71,54 @@ class StudySummary:
         return float(self.d), float(self.se)
 
 
+@dataclass(frozen=True, eq=False)
+class StudyTable(Sequence[StudySummary]):
+    """The ten study-CSV columns in file order, ``None`` for an empty cell,
+    filled by ``io.parse_study_csv`` with checked rows; a row is in the arm
+    form when its ``mean1`` is given. As a sequence it yields each row's
+    ``StudySummary``, built on demand, and equals a list of equal studies."""
+
+    study_id: tuple[str, ...]
+    label: tuple[str, ...]
+    n1: tuple[int | None, ...]
+    n2: tuple[int | None, ...]
+    mean1: tuple[float | None, ...]
+    mean2: tuple[float | None, ...]
+    sd1: tuple[float | None, ...]
+    sd2: tuple[float | None, ...]
+    d: tuple[float | None, ...]
+    se: tuple[float | None, ...]
+
+    def __len__(self) -> int:
+        return len(self.study_id)
+
+    def __getitem__(self, index):
+        if isinstance(index, slice):
+            return [self[i] for i in range(len(self))[index]]
+        i = range(len(self))[index]
+        head = (self.study_id[i], self.label[i])
+        if self.mean1[i] is None:
+            return StudySummary(*head, d=self.d[i], se=self.se[i], n1=self.n1[i], n2=self.n2[i])
+        arm1 = SampleSummary(self.n1[i], self.mean1[i], self.sd1[i])
+        return StudySummary(*head, arm1, SampleSummary(self.n2[i], self.mean2[i], self.sd2[i]))
+
+    def __eq__(self, other: object) -> bool:
+        if not isinstance(other, (list, StudyTable)):
+            return NotImplemented
+        return len(self) == len(other) and all(a == b for a, b in zip(self, other))
+
+    def effects(self) -> tuple[tuple[float, float], ...]:
+        """(d, se) per row, in row order, from the arms for arm-form rows."""
+        columns = (self.n1, self.n2, self.mean1, self.mean2, self.sd1, self.sd2, self.d, self.se)
+        return tuple(
+            (d, se) if m1 is None else _d_se(n1, m1, s1, n2, m2, s2)
+            for n1, n2, m1, m2, s1, s2, d, se in zip(*columns)
+        )
+
+
 @dataclass(frozen=True)
 class MetaResult:
-    """Pooled estimate with per-study (d, se) effects, weights and
+    """Pooled estimate with per-study (d, se) effects, weights, labels and
     heterogeneity statistics; the per-study tuples follow input order."""
 
     pooled_d: float
@@ -79,6 +128,7 @@ class MetaResult:
     q_statistic: float
     i_squared: float
     effects: tuple[tuple[float, float], ...]
+    labels: tuple[str, ...]
 
 
 @dataclass(frozen=True)
@@ -124,7 +174,10 @@ def fixed_effect_pool(studies: Sequence[StudySummary], level: float = 0.95) -> M
         raise InsufficientDataError("need at least one study to pool")
     if not 0.0 < level < 1.0:
         raise DomainError(f"level must be in (0, 1), got {level}")
-    effects = tuple(s.effect() for s in studies)
+    if isinstance(studies, StudyTable):
+        effects, labels = studies.effects(), studies.label
+    else:
+        effects, labels = tuple(s.effect() for s in studies), tuple(s.label for s in studies)
     ds = [d for d, _ in effects]
     weights = tuple(1.0 / (se * se) for _, se in effects)
     # Left-to-right folds: from Python 3.12 the builtin ``sum`` compensates
@@ -150,15 +203,16 @@ def fixed_effect_pool(studies: Sequence[StudySummary], level: float = 0.95) -> M
         q_statistic=q,
         i_squared=i2,
         effects=effects,
+        labels=labels,
     )
 
 
 def forest_model(studies: Sequence[StudySummary], pooled: MetaResult) -> ForestPlotSpec:
     """Forest plot model: one row per study in input order plus the pooled row.
 
-    Rows take their effects and weights from ``pooled``, the pooling of the
-    same ``studies``. Marker areas are proportional to the inverse-variance
-    weights; the axis range covers every confidence interval with 5% padding.
+    Rows take their labels, effects and weights from ``pooled``, the pooling
+    of the same ``studies``. Marker areas are proportional to the weights; the
+    axis range covers every confidence interval with 5% padding.
     """
     if not studies:
         raise InsufficientDataError("need at least one study for a forest model")
@@ -172,12 +226,12 @@ def forest_model(studies: Sequence[StudySummary], pooled: MetaResult) -> ForestP
     w_max = max(weights)
     rows = tuple(
         ForestRow(
-            label=s.label,
+            label=label,
             d=d,
             ci=Interval(d - z * math.sqrt(1.0 / w), d + z * math.sqrt(1.0 / w), level),
             marker_area=w / w_max,
         )
-        for s, (d, _), w in zip(studies, pooled.effects, weights)
+        for label, (d, _), w in zip(pooled.labels, pooled.effects, weights)
     )
     lows = [r.ci.lower for r in rows] + [pooled.ci.lower]
     highs = [r.ci.upper for r in rows] + [pooled.ci.upper]

@@ -43,12 +43,17 @@ class SampleSummary:
     sd: float
 
     def __post_init__(self) -> None:
-        if self.n < 2:
-            raise InsufficientDataError(f"need n >= 2 observations, got {self.n}")
-        if not (math.isfinite(self.mean) and math.isfinite(self.sd)):
-            raise DomainError("mean and sd must be finite")
-        if self.sd < 0:
-            raise DomainError(f"sd must be >= 0, got {self.sd}")
+        _check_arm(self.n, self.mean, self.sd)
+
+
+def _check_arm(n: int, mean: float, sd: float) -> None:
+    """The checks of one arm summary, shared with the study-CSV parser."""
+    if n < 2:
+        raise InsufficientDataError(f"need n >= 2 observations, got {n}")
+    if not (math.isfinite(mean) and math.isfinite(sd)):
+        raise DomainError("mean and sd must be finite")
+    if sd < 0:
+        raise DomainError(f"sd must be >= 0, got {sd}")
 
 
 # ---------------------------------------------------------------------------

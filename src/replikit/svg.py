@@ -30,9 +30,12 @@ def _f(x: float) -> str:
 
 def x_transform(value: float, axis_lo: float, axis_hi: float) -> float:
     """Map an effect value to an x pixel coordinate on the plot axis."""
-    span = axis_hi - axis_lo
-    frac = (value - axis_lo) / span
-    return MARGIN_LEFT + frac * (WIDTH - MARGIN_LEFT - MARGIN_RIGHT)
+    return _x_coords([value], axis_lo, axis_hi)[0]
+
+
+def _x_coords(values: list[float], axis_lo: float, axis_hi: float) -> list[float]:
+    span, width = axis_hi - axis_lo, WIDTH - MARGIN_LEFT - MARGIN_RIGHT
+    return [MARGIN_LEFT + (v - axis_lo) / span * width for v in values]
 
 
 def _axis_ticks(axis_lo: float, axis_hi: float) -> list[float]:
@@ -54,7 +57,8 @@ def render_forest_svg(spec: ForestPlotSpec) -> str:
     Marker squares scale in area with study weight; the dashed vertical line
     marks the pooled effect.
     """
-    n = len(spec.rows)
+    rows = spec.rows
+    n = len(rows)
     height = MARGIN_TOP + (n + 1) * HEIGHT_PER_ROW + MARGIN_BOTTOM
     lo, hi = spec.axis_lo, spec.axis_hi
     axis_y = MARGIN_TOP + (n + 1) * HEIGHT_PER_ROW + 12.0
@@ -67,23 +71,20 @@ def render_forest_svg(spec: ForestPlotSpec) -> str:
         f'stroke="{_ACCENT}" stroke-dasharray="4 3" stroke-width="1"/>\n'
     )
 
-    for i, row in enumerate(spec.rows):
+    label_x = _f(MARGIN_LEFT - 10.0)
+    x_lo = _x_coords([row.ci.lower for row in rows], lo, hi)
+    x_hi = _x_coords([row.ci.upper for row in rows], lo, hi)
+    x_d = _x_coords([row.d for row in rows], lo, hi)
+    for i, row in enumerate(rows):
         cy = MARGIN_TOP + i * HEIGHT_PER_ROW + HEIGHT_PER_ROW / 2.0
-        x_lo = x_transform(row.ci.lower, lo, hi)
-        x_hi = x_transform(row.ci.upper, lo, hi)
-        x_d = x_transform(row.d, lo, hi)
         side = MAX_MARKER_SIDE * math.sqrt(row.marker_area)
         parts.append(
-            f'<text x="{_f(MARGIN_LEFT - 10.0)}" y="{_f(cy + 4.0)}" text-anchor="end" '
+            f'<text x="{label_x}" y="{cy + 4.0:.2f}" text-anchor="end" '
             f'{_FONT} fill="{_FG}">{_escape(row.label)}</text>\n'
-        )
-        parts.append(
-            f'<line x1="{_f(x_lo)}" y1="{_f(cy)}" x2="{_f(x_hi)}" y2="{_f(cy)}" '
+            f'<line x1="{x_lo[i]:.2f}" y1="{cy:.2f}" x2="{x_hi[i]:.2f}" y2="{cy:.2f}" '
             f'stroke="{_FG}" stroke-width="1"/>\n'
-        )
-        parts.append(
-            f'<rect x="{_f(x_d - side / 2.0)}" y="{_f(cy - side / 2.0)}" '
-            f'width="{_f(side)}" height="{_f(side)}" fill="{_FG}"/>\n'
+            f'<rect x="{x_d[i] - side / 2.0:.2f}" y="{cy - side / 2.0:.2f}" '
+            f'width="{side:.2f}" height="{side:.2f}" fill="{_FG}"/>\n'
         )
 
     # Pooled-effect diamond spanning its confidence interval.
@@ -126,9 +127,9 @@ def render_funnel_svg(data: FunnelData) -> str:
         f'x2="{_f(pooled_x)}" y2="{_f(plot_bottom)}" '
         f'stroke="{_ACCENT}" stroke-dasharray="4 3" stroke-width="1"/>\n'
     )
-    for d, se in data.points:
+    for x, se in zip(_x_coords(ds, lo, hi), ses):
         parts.append(
-            f'<circle cx="{_f(x_transform(d, lo, hi))}" cy="{_f(y_of(se))}" r="4" '
+            f'<circle cx="{_f(x)}" cy="{_f(y_of(se))}" r="4" '
             f'fill="none" stroke="{_FG}" stroke-width="1.2"/>\n'
         )
     parts.append(_axis(plot_bottom + 12.0, lo, hi))

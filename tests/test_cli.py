@@ -5,6 +5,7 @@ import warnings
 
 import pytest
 
+from replikit import cli
 from replikit.cli import main
 
 STUDY_HEADER = "study_id,label,n1,n2,mean1,mean2,sd1,sd2,d,se"
@@ -303,6 +304,40 @@ def test_meta_json_output(study_file, capsys):
 def test_meta_svg_rejected(study_file, capsys):
     assert main(["meta", study_file, "--format", "svg"]) == 2
     assert "forest or funnel" in capsys.readouterr().err
+
+
+def test_meta_svg_is_rejected_before_a_degenerate_study_is_pooled(tmp_path, capsys):
+    path = tmp_path / "degen.csv"
+    path.write_text(STUDY_HEADER + "\ns1,flat,3,3,1.0,1.0,0.0,0.0,,\n", encoding="utf-8")
+    assert main(["meta", str(path)]) == 3
+    capsys.readouterr()
+    assert main(["meta", str(path), "--format", "svg"]) == 2
+    assert capsys.readouterr().err == (
+        "replikit: error: meta renders tables; use forest or funnel for svg\n")
+
+
+@pytest.mark.parametrize("command, fmt", [("forest", "text"), ("funnel", "json"), ("meta", "svg")])
+def test_unsupported_format_is_rejected_before_the_study_file_is_read(
+    command, fmt, study_file, monkeypatch, capsys
+):
+    def unread(content):
+        raise AssertionError("the study file was parsed")
+
+    monkeypatch.setattr(cli, "parse_study_csv", unread)
+    assert main([command, study_file, "--format", fmt]) == 2
+    assert "renders" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("fmt", ["text", "csv", "json"])
+def test_study_file_with_a_byte_order_mark_gives_the_same_output(fmt, tmp_path, capsys):
+    plain, marked = tmp_path / "plain.csv", tmp_path / "marked.csv"
+    plain.write_bytes(TWO_STUDIES.encode("utf-8"))
+    marked.write_bytes(b"\xef\xbb\xbf" + TWO_STUDIES.encode("utf-8"))
+    outputs = []
+    for path in (plain, marked):
+        assert main(["meta", str(path), "--format", fmt]) == 0
+        outputs.append(capsys.readouterr().out.replace(str(path), "PATH"))
+    assert outputs[0] == outputs[1]
 
 
 def test_meta_missing_file_exits_2(capsys):

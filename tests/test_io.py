@@ -72,6 +72,13 @@ def test_parse_accepts_bytes():
     assert parse_study_csv(data)[0].d == 0.1
 
 
+def test_parse_drops_a_utf8_byte_order_mark():
+    text = HEADER + "\ns1,a,30,28,105.0,100.0,20.0,19.0,,\ns2,b,,,,,,,0.1,0.2\n"
+    plain = parse_study_csv(text)
+    assert parse_study_csv(b"\xef\xbb\xbf" + text.encode("utf-8")) == plain
+    assert parse_study_csv("\ufeff" + text) == plain
+
+
 def test_parse_rejects_non_utf8_bytes():
     with pytest.raises(ParseError, match="UTF-8"):
         parse_study_csv(b"\xff\xfe" + HEADER.encode("utf-8"))
