@@ -61,6 +61,11 @@ CASES.update({
     "effect-svg-rejected": EFFECT + ["--format", "svg"],
     "meta-svg-rejected": ["meta", STUDIES, "--format", "svg"],
 })
+# Every other plot case runs at the default level 0.95.
+CASES.update({
+    f"{plot}-large-level-output": [plot, STUDIES_LARGE, "--level", "0.8", "--output", "plot.svg"]
+    for plot in ("forest", "funnel")
+})
 
 
 def large_studies_csv(seed: int = 9, rows: int = 300) -> str:
