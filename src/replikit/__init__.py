@@ -7,7 +7,7 @@ confidence intervals, judge replications against prediction intervals
 meta-analysis (`fixed_effect_pool`).
 
 The package exports the names that workflow uses. The t distribution, the
-SVG renderers, the plot models and batch export are imported from their
+SVG renderers, the study table and batch export are imported from their
 modules (`replikit.stats_core`, `replikit.svg`, `replikit.meta`,
 `replikit.simulation`).
 

@@ -21,7 +21,7 @@ from typing import Mapping, Sequence
 from .effect_size import EffectSize, classify, cohens_d, confidence_interval, standard_error_d
 from .errors import ParseError, ReplikitError, UnsupportedFormatError
 from .io import OutputFormat, Percent, Table, config_lines, parse_study_csv, render
-from .meta import fixed_effect_pool, forest_model, funnel_data
+from .meta import fixed_effect_pool
 from .prediction import ReplicationDesign, confirms, prediction_interval
 from .stats_core import ContaminationSpec, SampleSummary
 from .svg import render_forest_svg, render_funnel_svg
@@ -54,6 +54,18 @@ def _add_common(parser: argparse.ArgumentParser, default_format: str = "text") -
     )
 
 
+def _arm_size(text: str) -> int:
+    """``int`` for an arm size, refusing one too large to have a float value:
+    d and its se are computed in floats."""
+    try:
+        n = int(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"invalid int value: {text!r}") from None
+    if abs(n) > sys.float_info.max:
+        raise argparse.ArgumentTypeError(f"arm size {text!r} is too large to have a float value")
+    return n
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = _Parser(
         prog=PROG,
@@ -63,10 +75,10 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("effect", help="two-arm summaries -> d, se, CI, category")
     _add_common(p)
-    p.add_argument("--n1", type=int, required=True)
+    p.add_argument("--n1", type=_arm_size, required=True)
     p.add_argument("--mean1", type=float, required=True)
     p.add_argument("--sd1", type=float, required=True)
-    p.add_argument("--n2", type=int, required=True)
+    p.add_argument("--n2", type=_arm_size, required=True)
     p.add_argument("--mean2", type=float, required=True)
     p.add_argument("--sd2", type=float, required=True)
     p.add_argument("--hedges", action="store_true", help="apply the small-sample correction")
@@ -91,11 +103,11 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("pi", help="original study + replication sizes -> prediction interval")
     _add_common(p)
     p.add_argument("--d", type=float, required=True, help="original effect size")
-    p.add_argument("--n1", type=int, required=True, help="original arm 1 size")
-    p.add_argument("--n2", type=int, required=True, help="original arm 2 size")
+    p.add_argument("--n1", type=_arm_size, required=True, help="original arm 1 size")
+    p.add_argument("--n2", type=_arm_size, required=True, help="original arm 2 size")
     p.add_argument("--se", type=float, help="original se (default: computed from d, n1, n2)")
-    p.add_argument("--rep-n1", type=int, required=True, help="replication arm 1 size")
-    p.add_argument("--rep-n2", type=int, required=True, help="replication arm 2 size")
+    p.add_argument("--rep-n1", type=_arm_size, required=True, help="replication arm 1 size")
+    p.add_argument("--rep-n2", type=_arm_size, required=True, help="replication arm 2 size")
     p.add_argument("--check", type=float, metavar="D_REP", help="report whether this d confirms")
     p.set_defaults(handler=_cmd_pi)
 
@@ -104,17 +116,12 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("path", help="study CSV file")
     p.set_defaults(handler=_cmd_meta)
 
-    p = sub.add_parser("forest", help="study CSV -> forest plot SVG")
-    _add_common(p, default_format="svg")
-    p.add_argument("path", help="study CSV file")
-    p.add_argument("--output", metavar="PATH", help="write SVG here instead of stdout")
-    p.set_defaults(handler=_cmd_forest)
-
-    p = sub.add_parser("funnel", help="study CSV -> funnel plot SVG")
-    _add_common(p, default_format="svg")
-    p.add_argument("path", help="study CSV file")
-    p.add_argument("--output", metavar="PATH", help="write SVG here instead of stdout")
-    p.set_defaults(handler=_cmd_funnel)
+    for name, render in (("forest", render_forest_svg), ("funnel", render_funnel_svg)):
+        p = sub.add_parser(name, help=f"study CSV -> {name} plot SVG")
+        _add_common(p, default_format="svg")
+        p.add_argument("path", help="study CSV file")
+        p.add_argument("--output", metavar="PATH", help="write SVG here instead of stdout")
+        p.set_defaults(handler=_cmd_plot, render=render)
 
     return parser
 
@@ -251,24 +258,15 @@ def _cmd_meta(args: argparse.Namespace) -> int:
     return _emit(OutputFormat(args.format), _study_config(args, studies), [Table(rows)])
 
 
-def _render_plot(args: argparse.Namespace, svg_text: str, studies: Sequence[object]) -> int:
+def _cmd_plot(args: argparse.Namespace) -> int:
+    studies = _read_studies(args)
+    svg_text = args.render(fixed_effect_pool(studies, level=args.level))
     sys.stderr.write(config_lines(_study_config(args, studies)))
     if args.output:
         Path(args.output).write_text(svg_text, encoding="utf-8")
     else:
         sys.stdout.write(svg_text)
     return 0
-
-
-def _cmd_forest(args: argparse.Namespace) -> int:
-    studies = _read_studies(args)
-    pooled = fixed_effect_pool(studies, level=args.level)
-    return _render_plot(args, render_forest_svg(forest_model(studies, pooled)), studies)
-
-
-def _cmd_funnel(args: argparse.Namespace) -> int:
-    studies = _read_studies(args)
-    return _render_plot(args, render_funnel_svg(funnel_data(studies)), studies)
 
 
 def main(argv: Sequence[str] | None = None) -> int:

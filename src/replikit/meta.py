@@ -1,6 +1,6 @@
-"""Fixed-effects inverse-variance pooling of standardized mean differences,
-heterogeneity statistics, and forest/funnel plot models. Pooling takes any
-sequence of ``StudySummary``; a ``StudyTable`` is pooled from its columns."""
+"""Fixed-effects inverse-variance pooling of standardized mean differences and
+heterogeneity statistics. Pooling takes any sequence of ``StudySummary``; a
+``StudyTable`` is pooled from its columns. ``replikit.svg`` plots the result."""
 
 from __future__ import annotations
 
@@ -131,39 +131,6 @@ class MetaResult:
     labels: tuple[str, ...]
 
 
-@dataclass(frozen=True)
-class ForestRow:
-    """One study's renderable row; marker_area is proportional to its weight."""
-
-    label: str
-    d: float
-    ci: Interval
-    marker_area: float
-
-
-@dataclass(frozen=True)
-class ForestPlotSpec:
-    """Renderable forest plot model: study rows, pooled row, axis range."""
-
-    rows: tuple[ForestRow, ...]
-    pooled_d: float
-    pooled_ci: Interval
-    axis_lo: float
-    axis_hi: float
-
-
-@dataclass(frozen=True)
-class FunnelData:
-    """Effect-vs-precision points with the pooled reference position.
-
-    The y axis is the standard error and is conventionally plotted inverted:
-    smaller se (higher precision) sits higher on the plot.
-    """
-
-    points: tuple[tuple[float, float], ...]
-    pooled_d: float
-
-
 def fixed_effect_pool(studies: Sequence[StudySummary], level: float = 0.95) -> MetaResult:
     """Inverse-variance fixed-effects pooling of standardized mean differences.
 
@@ -205,63 +172,3 @@ def fixed_effect_pool(studies: Sequence[StudySummary], level: float = 0.95) -> M
         effects=effects,
         labels=labels,
     )
-
-
-def forest_model(studies: Sequence[StudySummary], pooled: MetaResult) -> ForestPlotSpec:
-    """Forest plot model: one row per study in input order plus the pooled row.
-
-    Rows take their labels, effects and weights from ``pooled``, the pooling
-    of the same ``studies``. Marker areas are proportional to the weights; the
-    axis range covers every confidence interval with 5% padding.
-    """
-    if not studies:
-        raise InsufficientDataError("need at least one study for a forest model")
-    if len(pooled.effects) != len(studies):
-        raise DomainError(
-            f"pooled result holds {len(pooled.effects)} studies, the forest {len(studies)}"
-        )
-    level = pooled.ci.level
-    z = normal_quantile((1.0 + level) / 2.0)
-    weights = pooled.weights
-    w_max = max(weights)
-    rows = tuple(
-        ForestRow(
-            label=label,
-            d=d,
-            ci=Interval(d - z * math.sqrt(1.0 / w), d + z * math.sqrt(1.0 / w), level),
-            marker_area=w / w_max,
-        )
-        for label, (d, _), w in zip(pooled.labels, pooled.effects, weights)
-    )
-    lows = [r.ci.lower for r in rows] + [pooled.ci.lower]
-    highs = [r.ci.upper for r in rows] + [pooled.ci.upper]
-    axis_lo, axis_hi = axis_range(min(lows), max(highs))
-    return ForestPlotSpec(
-        rows=rows,
-        pooled_d=pooled.pooled_d,
-        pooled_ci=pooled.ci,
-        axis_lo=axis_lo,
-        axis_hi=axis_hi,
-    )
-
-
-def axis_range(lo: float, hi: float) -> tuple[float, float]:
-    """Plot axis covering [lo, hi], padded by 5% of its span.
-
-    A point (lo == hi) is padded by 0.5 or 5% of its magnitude, whichever is
-    larger, so that the padding is not lost to rounding. Raises DomainError
-    when the padded axis is not a finite range of positive width.
-    """
-    pad = 0.05 * (hi - lo) if hi > lo else max(0.5, 0.05 * abs(hi))
-    axis_lo, axis_hi = lo - pad, hi + pad
-    if not (math.isfinite(axis_lo) and math.isfinite(axis_hi) and axis_lo < axis_hi):
-        raise DomainError(f"cannot plot effects spanning [{lo!r}, {hi!r}] on a finite axis")
-    return axis_lo, axis_hi
-
-
-def funnel_data(studies: Sequence[StudySummary]) -> FunnelData:
-    """One (d, se) point per study with the pooled d as the reference line."""
-    if not studies:
-        raise InsufficientDataError("need at least one study for funnel data")
-    pooled = fixed_effect_pool(studies)
-    return FunnelData(points=pooled.effects, pooled_d=pooled.pooled_d)

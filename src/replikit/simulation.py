@@ -28,6 +28,9 @@ _UINT64_MAX = 2**64 - 1
 # A chunk holds at least one row of 2n normals (and 2n uniforms when mixed), so
 # memory grows with n: `simulate --runs 2 --dist mixed` peaks near 83 MB here.
 MAX_N_PER_ARM = 10**6
+# d and se are float64 columns of one row per run; numpy cannot size a column
+# of 2^60 rows (2^63 bytes), so larger counts are refused before any array.
+MAX_RUNS = 2**60 - 2
 
 # Draws per chunk; rows per chunk follow, so memory is bounded for any n_per_arm.
 _CHUNK_DRAWS = 2**18
@@ -221,6 +224,8 @@ class SimulationConfig:
     def __post_init__(self) -> None:
         if self.runs < 0 or self.runs % 2 != 0:
             raise DomainError(f"runs must be a non-negative even count, got {self.runs}")
+        if self.runs > MAX_RUNS:
+            raise DomainError(f"runs must be at most {MAX_RUNS}, got {self.runs}")
         if not 2 <= self.n_per_arm <= MAX_N_PER_ARM:
             raise DomainError(f"n_per_arm must be in [2, {MAX_N_PER_ARM}], got {self.n_per_arm}")
         if not math.isfinite(self.mu):

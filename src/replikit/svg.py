@@ -1,14 +1,15 @@
-"""Deterministic SVG rendering for forest and funnel plots.
-
-All geometry is emitted with fixed 2-decimal coordinates so the same model
-always serializes to the same bytes, on every platform.
-"""
+"""Deterministic SVG rendering of a pooled ``meta.MetaResult`` as a forest or
+funnel plot. All plot geometry lives here: per-study intervals, marker sizes
+and axis ranges. Coordinates are emitted with fixed 2 decimals, so the same
+result always serializes to the same bytes, on every platform."""
 
 from __future__ import annotations
 
 import math
 
-from .meta import ForestPlotSpec, FunnelData, axis_range
+from .errors import DomainError
+from .meta import MetaResult
+from .stats_core import normal_quantile
 
 WIDTH = 720.0
 HEIGHT_PER_ROW = 28.0
@@ -51,20 +52,41 @@ def _header(height: float) -> str:
     )
 
 
-def render_forest_svg(spec: ForestPlotSpec) -> str:
-    """Forest plot: one row per study plus a pooled-effect diamond.
+def axis_range(lo: float, hi: float) -> tuple[float, float]:
+    """Plot axis covering [lo, hi], padded by 5% of its span.
 
-    Marker squares scale in area with study weight; the dashed vertical line
-    marks the pooled effect.
+    A point (lo == hi) is padded by 0.5 or 5% of its magnitude, whichever is
+    larger, so that the padding is not lost to rounding. Raises DomainError
+    when the padded axis is not a finite range of positive width.
     """
-    rows = spec.rows
-    n = len(rows)
+    pad = 0.05 * (hi - lo) if hi > lo else max(0.5, 0.05 * abs(hi))
+    axis_lo, axis_hi = lo - pad, hi + pad
+    if not (math.isfinite(axis_lo) and math.isfinite(axis_hi) and axis_lo < axis_hi):
+        raise DomainError(f"cannot plot effects spanning [{lo!r}, {hi!r}] on a finite axis")
+    return axis_lo, axis_hi
+
+
+def render_forest_svg(pooled: MetaResult) -> str:
+    """Forest plot: one row per study in input order plus a pooled-effect diamond.
+
+    Each study's interval is d +/- z * sqrt(1/w) at the pooled interval's
+    level; marker squares scale in area with study weight. The axis covers
+    every interval with 5% padding, and the dashed vertical line marks the
+    pooled effect.
+    """
+    n = len(pooled.effects)
+    ds = [d for d, _ in pooled.effects]
+    z = normal_quantile((1.0 + pooled.ci.level) / 2.0)
+    half_widths = [z * math.sqrt(1.0 / w) for w in pooled.weights]
+    lows = [d - h for d, h in zip(ds, half_widths)]
+    highs = [d + h for d, h in zip(ds, half_widths)]
+    lo, hi = axis_range(min(lows + [pooled.ci.lower]), max(highs + [pooled.ci.upper]))
+    w_max = max(pooled.weights)
     height = MARGIN_TOP + (n + 1) * HEIGHT_PER_ROW + MARGIN_BOTTOM
-    lo, hi = spec.axis_lo, spec.axis_hi
     axis_y = MARGIN_TOP + (n + 1) * HEIGHT_PER_ROW + 12.0
 
     parts = [_header(height)]
-    pooled_x = x_transform(spec.pooled_d, lo, hi)
+    pooled_x = x_transform(pooled.pooled_d, lo, hi)
     parts.append(
         f'<line x1="{_f(pooled_x)}" y1="{_f(MARGIN_TOP - 12.0)}" '
         f'x2="{_f(pooled_x)}" y2="{_f(axis_y)}" '
@@ -72,15 +94,13 @@ def render_forest_svg(spec: ForestPlotSpec) -> str:
     )
 
     label_x = _f(MARGIN_LEFT - 10.0)
-    x_lo = _x_coords([row.ci.lower for row in rows], lo, hi)
-    x_hi = _x_coords([row.ci.upper for row in rows], lo, hi)
-    x_d = _x_coords([row.d for row in rows], lo, hi)
-    for i, row in enumerate(rows):
+    x_lo, x_hi, x_d = (_x_coords(v, lo, hi) for v in (lows, highs, ds))
+    for i, (label, w) in enumerate(zip(pooled.labels, pooled.weights)):
         cy = MARGIN_TOP + i * HEIGHT_PER_ROW + HEIGHT_PER_ROW / 2.0
-        side = MAX_MARKER_SIDE * math.sqrt(row.marker_area)
+        side = MAX_MARKER_SIDE * math.sqrt(w / w_max)
         parts.append(
             f'<text x="{label_x}" y="{cy + 4.0:.2f}" text-anchor="end" '
-            f'{_FONT} fill="{_FG}">{_escape(row.label)}</text>\n'
+            f'{_FONT} fill="{_FG}">{_escape(label)}</text>\n'
             f'<line x1="{x_lo[i]:.2f}" y1="{cy:.2f}" x2="{x_hi[i]:.2f}" y2="{cy:.2f}" '
             f'stroke="{_FG}" stroke-width="1"/>\n'
             f'<rect x="{x_d[i] - side / 2.0:.2f}" y="{cy - side / 2.0:.2f}" '
@@ -89,8 +109,8 @@ def render_forest_svg(spec: ForestPlotSpec) -> str:
 
     # Pooled-effect diamond spanning its confidence interval.
     cy = MARGIN_TOP + n * HEIGHT_PER_ROW + HEIGHT_PER_ROW / 2.0
-    dx_lo = x_transform(spec.pooled_ci.lower, lo, hi)
-    dx_hi = x_transform(spec.pooled_ci.upper, lo, hi)
+    dx_lo = x_transform(pooled.ci.lower, lo, hi)
+    dx_hi = x_transform(pooled.ci.upper, lo, hi)
     half_h = 7.0
     parts.append(
         f'<text x="{_f(MARGIN_LEFT - 10.0)}" y="{_f(cy + 4.0)}" text-anchor="end" '
@@ -106,14 +126,16 @@ def render_forest_svg(spec: ForestPlotSpec) -> str:
     return "".join(parts)
 
 
-def render_funnel_svg(data: FunnelData) -> str:
-    """Funnel plot: effect on x, standard error on an inverted y axis."""
+def render_funnel_svg(pooled: MetaResult) -> str:
+    """Funnel plot: one point per study, effect on x and standard error on an
+    inverted y axis (smaller se, higher precision, sits higher), with the
+    pooled d as the dashed reference line."""
     height = 420.0
     plot_top = MARGIN_TOP
     plot_bottom = height - MARGIN_BOTTOM
-    ds = [p[0] for p in data.points]
-    ses = [p[1] for p in data.points]
-    lo, hi = axis_range(min(ds + [data.pooled_d]), max(ds + [data.pooled_d]))
+    ds = [d for d, _ in pooled.effects]
+    ses = [se for _, se in pooled.effects]
+    lo, hi = axis_range(min(ds + [pooled.pooled_d]), max(ds + [pooled.pooled_d]))
     se_max = max(ses) * 1.05
 
     def y_of(se: float) -> float:
@@ -121,7 +143,7 @@ def render_funnel_svg(data: FunnelData) -> str:
         return plot_top + (se / se_max) * (plot_bottom - plot_top)
 
     parts = [_header(height)]
-    pooled_x = x_transform(data.pooled_d, lo, hi)
+    pooled_x = x_transform(pooled.pooled_d, lo, hi)
     parts.append(
         f'<line x1="{_f(pooled_x)}" y1="{_f(plot_top)}" '
         f'x2="{_f(pooled_x)}" y2="{_f(plot_bottom)}" '

@@ -19,7 +19,6 @@ from typing import Sequence
 
 from replikit.effect_size import EffectSize, Interval, standard_error_d
 from replikit.errors import DegenerateSampleError, DomainError, InsufficientDataError, ParseError
-from replikit.meta import ForestPlotSpec, ForestRow, FunnelData, axis_range
 from replikit.stats_core import SampleSummary, normal_quantile
 
 STUDY_COLUMNS = ("study_id", "label", "n1", "n2", "mean1", "mean2", "sd1", "sd2", "d", "se")
@@ -238,42 +237,3 @@ def fixed_effect_pool(studies: Sequence[StudySummary], level: float = 0.95) -> M
         i_squared=i2,
         effects=effects,
     )
-
-
-def forest_model(studies: Sequence[StudySummary], pooled: MetaResult) -> ForestPlotSpec:
-    if not studies:
-        raise InsufficientDataError("need at least one study for a forest model")
-    if len(pooled.effects) != len(studies):
-        raise DomainError(
-            f"pooled result holds {len(pooled.effects)} studies, the forest {len(studies)}"
-        )
-    level = pooled.ci.level
-    z = normal_quantile((1.0 + level) / 2.0)
-    weights = pooled.weights
-    w_max = max(weights)
-    rows = tuple(
-        ForestRow(
-            label=s.label,
-            d=d,
-            ci=Interval(d - z * math.sqrt(1.0 / w), d + z * math.sqrt(1.0 / w), level),
-            marker_area=w / w_max,
-        )
-        for s, (d, _), w in zip(studies, pooled.effects, weights)
-    )
-    lows = [r.ci.lower for r in rows] + [pooled.ci.lower]
-    highs = [r.ci.upper for r in rows] + [pooled.ci.upper]
-    axis_lo, axis_hi = axis_range(min(lows), max(highs))
-    return ForestPlotSpec(
-        rows=rows,
-        pooled_d=pooled.pooled_d,
-        pooled_ci=pooled.ci,
-        axis_lo=axis_lo,
-        axis_hi=axis_hi,
-    )
-
-
-def funnel_data(studies: Sequence[StudySummary]) -> FunnelData:
-    if not studies:
-        raise InsufficientDataError("need at least one study for funnel data")
-    pooled = fixed_effect_pool(studies)
-    return FunnelData(points=pooled.effects, pooled_d=pooled.pooled_d)

@@ -92,6 +92,16 @@ def test_effect_tiny_sds_give_exact_d(tiny, capsys):
     assert abs(json.loads(capsys.readouterr().out)["d"] - 1.0) <= 1e-15
 
 
+BIG = "1" + "0" * 400  # an integer with no float value
+
+
+@pytest.mark.parametrize("size", ["2.5", BIG], ids=["2.5", "10^400"])
+def test_effect_arm_size_that_is_not_a_float_exits_2(size, capsys):
+    argv = ["effect", "--n1", size] + EFFECT_ARGS[3:]
+    assert main(argv) == 2
+    assert "argument --n1: " in capsys.readouterr().err
+
+
 def test_effect_bad_arm_exits_3(capsys):
     rc = main([
         "effect",
@@ -177,6 +187,20 @@ def test_simulate_odd_runs_exits_3(capsys):
     assert "error" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("runs", [2**60, 2**64, 10**400], ids=["2^60", "2^64", "10^400"])
+def test_simulate_runs_too_many_for_an_array_exits_3_before_any_allocation(
+    runs, monkeypatch, capsys
+):
+    def allocating(*args, **kwargs):
+        raise AssertionError("the batch was run")
+
+    monkeypatch.setattr("replikit.simulation.run_simulation", allocating)
+    assert main(["simulate", "--runs", str(runs)]) == 3
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == f"replikit: error: runs must be at most {2**60 - 2}, got {runs}\n"
+
+
 @pytest.mark.parametrize("effect", ["inf", "nan", "1e308", "1.7e308"])
 def test_simulate_non_finite_experiment_exits_3_with_one_line(effect, capsys):
     with warnings.catch_warnings(record=True) as caught:
@@ -252,6 +276,13 @@ def test_pi_explicit_se_is_echoed(capsys):
     assert main(PI_ARGS + ["--se", "0.5", "--format", "json"]) == 0
     data = json.loads(capsys.readouterr().out)
     assert data["config"]["se"] == 0.5
+
+
+@pytest.mark.parametrize("size", ["2.5", BIG], ids=["2.5", "10^400"])
+def test_pi_replication_arm_size_that_is_not_a_float_exits_2(size, capsys):
+    argv = ["pi", "--d", "0.5", "--n1", "30", "--n2", "30", "--rep-n1", size, "--rep-n2", "30"]
+    assert main(argv) == 2
+    assert "argument --rep-n1: " in capsys.readouterr().err
 
 
 def test_pi_tiny_arm_exits_3(capsys):
@@ -338,6 +369,15 @@ def test_study_file_with_a_byte_order_mark_gives_the_same_output(fmt, tmp_path, 
         assert main(["meta", str(path), "--format", fmt]) == 0
         outputs.append(capsys.readouterr().out.replace(str(path), "PATH"))
     assert outputs[0] == outputs[1]
+
+
+@pytest.mark.parametrize("level", ["1.5", "nan"])
+@pytest.mark.parametrize("command", ["meta", "forest", "funnel"])
+def test_study_commands_check_the_level(command, level, study_file, capsys):
+    assert main([command, study_file, "--level", level]) == 3
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == f"replikit: error: level must be in (0, 1), got {level}\n"
 
 
 def test_meta_missing_file_exits_2(capsys):

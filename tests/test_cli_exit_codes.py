@@ -14,7 +14,7 @@ import os
 import tempfile
 import warnings
 
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from replikit.cli import main
@@ -45,12 +45,13 @@ numbers = weighted(
     (1, st.integers(-(10**6), 10**6).map(str)),
     (1, st.sampled_from(SPECIAL)),
 )
-# Counts and sizes: small, or malformed; never a large allocation. Required
+# Counts and sizes: small, or malformed; never a large allocation (sizes too
+# large to allocate or to hold as a float are refused first). Required
 # options are always given (leaving one out is an argparse exit 2).
 sizes = weighted(
     (6, st.integers(2, 120).map(str)),
     (1, st.integers(-4, 1).map(str)),
-    (1, st.sampled_from(["", "x", "2.5", "1e3"])),
+    (1, st.sampled_from(["", "x", "2.5", "1e3", str(2**62), str(2**64), str(10**400)])),
 )
 levels = weighted((3, st.floats(0.01, 0.999).map(repr)), (1, numbers))
 sds = weighted((3, magnitudes), (1, numbers))
@@ -151,6 +152,13 @@ study_bytes = weighted((3, study_text.map(str.encode)), (1, st.binary(max_size=6
 
 @settings(max_examples=300, deadline=None)
 @given(argv=argvs, content=study_bytes)
+# Sizes with no float value, and a batch too large for numpy to size.
+@example(argv=["effect", "--n1", str(10**400), "--mean1", "1", "--sd1", "1",
+               "--n2", "30", "--mean2", "0", "--sd2", "1"], content=b"")
+@example(argv=["pi", "--d", "0.5", "--n1", "30", "--n2", "30", "--rep-n1", str(10**400),
+               "--rep-n2", "30"], content=b"")
+@example(argv=["simulate", "--runs", str(2**64)], content=b"")
+@example(argv=["simulate", "--runs", str(2**62), "--n-per-arm", str(2**62)], content=b"")
 def test_main_returns_an_exit_code_and_never_raises(argv, content):
     out, err = io.StringIO(), io.StringIO()
     with tempfile.TemporaryDirectory() as workdir:

@@ -1,4 +1,4 @@
-"""Fixed-effects pooling, heterogeneity, and plot models."""
+"""Fixed-effects pooling and heterogeneity."""
 
 import math
 
@@ -16,7 +16,6 @@ from replikit import (
     fixed_effect_pool,
 )
 from replikit import meta
-from replikit.meta import axis_range, forest_model, funnel_data
 
 
 def direct(study_id, d, se, label=None):
@@ -77,23 +76,8 @@ def test_direct_se_at_the_bounds_pools_finitely():
     ],
 )
 def test_effects_too_large_to_pool_rejected(studies):
-    for pool in (fixed_effect_pool, funnel_data):
-        with pytest.raises(DomainError, match="pooled d, se or Q is not finite"):
-            pool(studies)
-
-
-@pytest.mark.parametrize("d", [1.0, -2.0**54, 2.0**54, 1e300])
-def test_axis_padding_of_a_point_survives_rounding(d):
-    # At 2^54 the spacing of doubles is 4: d +/- 0.5 rounds back to d.
-    lo, hi = axis_range(d, d)
-    assert lo < d < hi
-
-
-def test_axis_range_rejects_an_axis_that_overflows():
-    with pytest.raises(DomainError, match="finite axis"):
-        axis_range(1.7976931348623157e308, 1.7976931348623157e308)
-    with pytest.raises(DomainError, match="finite axis"):
-        axis_range(-1e308, 1e308)
+    with pytest.raises(DomainError, match="pooled d, se or Q is not finite"):
+        fixed_effect_pool(studies)
 
 
 @pytest.mark.parametrize("n1, n2", [(-5, 0), (30, 1), (1, 30)])
@@ -169,15 +153,13 @@ def test_weights_are_inverse_variances():
 
 def test_weight_scale_invariance_of_pooled_quantities():
     # Scaling every se by 1/sqrt(c) scales all weights by c; the pooled point
-    # estimate and the forest marker areas must not move (Q does scale).
+    # estimate must not move (Q does scale).
     base = [direct("s1", 0.2, 0.3), direct("s2", 0.8, 0.6), direct("s3", 0.5, 0.15)]
     c = 7.0
     scaled = [direct(s.study_id, s.d, s.se / math.sqrt(c)) for s in base]
     r1, r2 = fixed_effect_pool(base), fixed_effect_pool(scaled)
     assert math.isclose(r1.pooled_d, r2.pooled_d, rel_tol=1e-12)
-    f1, f2 = forest_model(base, r1), forest_model(scaled, r2)
-    for a, b in zip(f1.rows, f2.rows):
-        assert math.isclose(a.marker_area, b.marker_area, rel_tol=1e-12)
+    assert all(math.isclose(w2, 7.0 * w1, rel_tol=1e-12) for w1, w2 in zip(r1.weights, r2.weights))
 
 
 @given(studies=study_lists)
@@ -242,47 +224,8 @@ def test_pooling_sums_left_to_right_whatever_the_builtin_sum(monkeypatch):
 
 
 # ---------------------------------------------------------------------------
-# forest_model / funnel_data
+# per-study effects
 # ---------------------------------------------------------------------------
-
-def test_forest_single_study_rows():
-    studies = [direct("s1", 0.7, 0.3)]
-    pooled = fixed_effect_pool(studies)
-    spec = forest_model(studies, pooled)
-    assert len(spec.rows) == 1
-    assert spec.rows[0].d == 0.7
-    assert math.isclose(spec.pooled_d, 0.7, rel_tol=1e-12)
-    assert spec.rows[0].marker_area == 1.0
-
-
-def test_forest_marker_areas_proportional_to_weights():
-    studies = [direct("s1", 0.2, 0.5), direct("s2", 0.4, 1.0)]  # weights 4 : 1
-    spec = forest_model(studies, fixed_effect_pool(studies))
-    ratio = spec.rows[0].marker_area / spec.rows[1].marker_area
-    assert abs(ratio - 4.0) / 4.0 < 0.01
-
-
-def test_forest_axis_covers_all_cis_with_padding():
-    studies = [direct("s1", -1.0, 0.2), direct("s2", 2.0, 0.4)]
-    pooled = fixed_effect_pool(studies)
-    spec = forest_model(studies, pooled)
-    lows = [r.ci.lower for r in spec.rows] + [spec.pooled_ci.lower]
-    highs = [r.ci.upper for r in spec.rows] + [spec.pooled_ci.upper]
-    assert spec.axis_lo < min(lows)
-    assert spec.axis_hi > max(highs)
-
-
-def test_forest_axis_padded_when_cis_collapse_to_a_point():
-    studies = [direct("s", 1.0, 1e-20)]
-    spec = forest_model(studies, fixed_effect_pool(studies))
-    assert (spec.axis_lo, spec.axis_hi) == (0.5, 1.5)
-
-
-def test_forest_preserves_input_order():
-    studies = [direct("b", 0.1, 0.5), direct("a", 0.9, 0.5)]
-    spec = forest_model(studies, fixed_effect_pool(studies))
-    assert [r.label for r in spec.rows] == ["b", "a"]
-
 
 def arm_studies(k):
     return [
@@ -292,52 +235,9 @@ def arm_studies(k):
     ]
 
 
-def test_forest_and_funnel_derive_each_effect_once(monkeypatch):
-    calls = []
-    effect = StudySummary.effect
-
-    def counted(self):
-        calls.append(self.study_id)
-        return effect(self)
-
-    monkeypatch.setattr(StudySummary, "effect", counted)
-    studies = arm_studies(3)
-    forest_model(studies, fixed_effect_pool(studies))
-    assert calls == ["s0", "s1", "s2"]
-    calls.clear()
-    funnel_data(studies)
-    assert calls == ["s0", "s1", "s2"]
-
-
-def test_forest_rows_match_the_pooled_effects():
-    studies = arm_studies(2) + [direct("s2", 0.25, 0.5)]
+def test_pooled_effects_and_labels_follow_the_studies():
+    studies = arm_studies(2) + [direct("s2", 0.25, 0.5, label="b")]
     pooled = fixed_effect_pool(studies, level=0.9)
-    spec = forest_model(studies, pooled)
     assert pooled.effects == tuple(s.effect() for s in studies)
-    assert [r.d for r in spec.rows] == [d for d, _ in pooled.effects]
-    assert all(r.ci.level == 0.9 for r in spec.rows)
-
-
-def test_forest_rejects_a_pooled_result_of_other_studies():
-    studies = [direct("s1", 0.1, 0.5), direct("s2", 0.9, 0.5)]
-    with pytest.raises(DomainError, match="pooled result holds 1 studies"):
-        forest_model(studies, fixed_effect_pool(studies[:1]))
-
-
-def test_funnel_passthrough():
-    data = funnel_data([direct("s1", 1.0, 0.5)])
-    assert data.points == ((1.0, 0.5),)
-    assert data.pooled_d == 1.0
-
-
-def test_funnel_order_free_point_multiset():
-    studies = [direct("s1", 0.1, 0.3), direct("s2", 0.9, 0.6), direct("s3", -0.4, 0.2)]
-    fwd = funnel_data(studies)
-    rev = funnel_data(list(reversed(studies)))
-    assert sorted(fwd.points) == sorted(rev.points)
-    assert math.isclose(fwd.pooled_d, rev.pooled_d, rel_tol=1e-12)
-
-
-def test_funnel_rejects_empty():
-    with pytest.raises(InsufficientDataError):
-        funnel_data([])
+    assert pooled.labels == ("s0", "s1", "b")
+    assert pooled.ci.level == 0.9

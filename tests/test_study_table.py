@@ -1,9 +1,10 @@
 """The column study table against the row-object path it replaced.
 
-``legacy_studies`` is a frozen copy of the parser, pooling and plot models
-that built one ``StudySummary`` per row. Over generated study-CSV text,
-valid or not, today's code must give the same floats bit for bit, or the
-same exception class and message.
+``legacy_studies`` is a frozen copy of the parser and pooling that built
+one ``StudySummary`` per row. Over generated study-CSV text, valid or not,
+today's code must give the same floats bit for bit, or the same exception
+class and message, and the plots of the table's pool must be the plots of
+the pool of its rows as a list.
 """
 
 import csv
@@ -19,7 +20,8 @@ from hypothesis import strategies as st
 
 from replikit import StudySummary, fixed_effect_pool, meta, parse_study_csv, serialize_study_csv
 from replikit.cli import main
-from replikit.meta import StudyTable, forest_model, funnel_data
+from replikit.meta import StudyTable
+from replikit.svg import render_forest_svg, render_funnel_svg
 
 HEADER = "study_id,label,n1,n2,mean1,mean2,sd1,sd2,d,se"
 LARGE = Path(__file__).parent / "golden" / "studies-large.csv"
@@ -142,12 +144,11 @@ def assert_same_paths(text, level, as_bytes):
     old_pooled = outcome(legacy.fixed_effect_pool, studies, level)
     assert bits(pool_fields(pooled)) == bits(pool_fields(old_pooled))
     # A plain list of StudySummary takes the same kernel and folds.
-    assert bits(pool_fields(outcome(fixed_effect_pool, list(table), level))) == bits(
-        pool_fields(old_pooled))
+    listed = outcome(fixed_effect_pool, list(table), level)
+    assert bits(pool_fields(listed)) == bits(pool_fields(old_pooled))
     if pooled[0] == "ok":
-        assert bits(outcome(forest_model, table, pooled[1])) == bits(
-            outcome(legacy.forest_model, studies, old_pooled[1]))
-    assert bits(outcome(funnel_data, table)) == bits(outcome(legacy.funnel_data, studies))
+        for render in (render_forest_svg, render_funnel_svg):
+            assert outcome(render, pooled[1]) == outcome(render, listed[1])
 
 
 @settings(max_examples=300, deadline=None)
@@ -206,7 +207,7 @@ def test_zero_sd_row_then_malformed_row_is_a_parse_error(command, tmp_path, caps
     assert err == "replikit: error: row 2: column 'mean1' must be a number, got 'x'\n"
 
 
-@pytest.mark.parametrize("command", ["meta", "forest"])
+@pytest.mark.parametrize("command", ["meta", "forest", "funnel"])
 def test_zero_sd_row_with_a_bad_level_is_the_level_error(command, tmp_path, capsys):
     path = _write(tmp_path, HEADER + "\n" + ZERO_SD_ROW)
     assert main([command, path, "--level", "1.5"]) == 3
@@ -237,7 +238,8 @@ def test_a_list_of_studies_derives_each_effect_once(monkeypatch):
     effect = meta.StudySummary.effect
     monkeypatch.setattr(meta.StudySummary, "effect", lambda s: calls.append(1) or effect(s))
     pooled = fixed_effect_pool(studies)
-    forest_model(studies, pooled)
+    render_forest_svg(pooled)
+    render_funnel_svg(pooled)
     assert len(calls) == len(studies)
 
 
