@@ -44,8 +44,8 @@ def arm_studies(k):
     ]
 
 
-def forest(studies, level=0.95):
-    return render_forest_svg(fixed_effect_pool(studies, level=level))
+def forest(studies):
+    return render_forest_svg(fixed_effect_pool(studies))
 
 
 def funnel(studies):
@@ -70,6 +70,12 @@ def ci_lines(svg_text):
     """The study rows' interval lines, in row order (horizontal, solid, above the axis)."""
     lines = [l for l in elements(svg_text, "line") if not l.get("stroke-dasharray")]
     return [l for l in lines if l.get("y1") == l.get("y2")][:-1]
+
+
+def diamond_xs(svg_text):
+    """x of the pooled diamond's points: lower end, pooled d, upper end, pooled d."""
+    (diamond,) = elements(svg_text, "polygon")
+    return [float(p.split(",")[0]) for p in diamond.get("points").split()]
 
 
 def forest_axis(pooled):
@@ -139,9 +145,7 @@ def test_forest_marker_centered_on_effect():
 
 def test_forest_axis_covers_all_cis_with_padding():
     svg = forest([direct("s1", -1.0, 0.2), direct("s2", 2.0, 0.4)])
-    (diamond,) = elements(svg, "polygon")
-    xs = [float(l.get(k)) for l in ci_lines(svg) for k in ("x1", "x2")]
-    xs += [float(p.split(",")[0]) for p in diamond.get("points").split()]
+    xs = [float(l.get(k)) for l in ci_lines(svg) for k in ("x1", "x2")] + diamond_xs(svg)
     # The intervals span 1/1.1 of the axis, with 5% of their span on each side.
     pad = PLOT_WIDTH * 0.05 / 1.1
     assert math.isclose(min(xs), MARGIN_LEFT + pad, abs_tol=0.01)
@@ -168,13 +172,16 @@ def test_forest_rows_take_the_pooled_effects_at_the_pooled_level():
     pooled = fixed_effect_pool(studies, level=0.9)
     svg = render_forest_svg(pooled)
     axis = forest_axis(pooled)
-    z = NormalDist().inv_cdf(0.95)
+    lower_x, _, upper_x, _ = diamond_xs(svg)
+    diamond_half = (upper_x - lower_x) / 2.0
     for line, rect, (d, se) in zip(ci_lines(svg), markers(svg), pooled.effects):
         center_x = float(rect.get("x")) + float(rect.get("width")) / 2.0
         assert abs(invert_x(center_x, *axis) - d) < 0.01
-        assert abs(invert_x(float(line.get("x1")), *axis) - (d - z * se)) < 0.01
-        assert abs(invert_x(float(line.get("x2")), *axis) - (d + z * se)) < 0.01
-    assert svg != forest(studies)  # at 0.95 the intervals and axis differ
+        # The axis scales with z, so only the pooled diamond, drawn at the
+        # pooled level, shows the level: at one level the half-widths are
+        # in the ratio of the standard errors.
+        half = (float(line.get("x2")) - float(line.get("x1"))) / 2.0
+        assert math.isclose(half / diamond_half, se / pooled.pooled_se, rel_tol=0.01)
 
 
 def test_forest_row_count_scales_with_studies():
