@@ -142,6 +142,7 @@ def parse_study_csv(content: str | bytes) -> StudyTable:
             if arms_complete:
                 _check_arm(n1, mean1, sd1)
                 _check_arm(n2, mean2, sd2)
+                cells[6:] = None, None  # a d or se beside complete arms is ignored
             else:
                 _check_study(study_id, d, se, n1, n2)
         except DomainError as exc:

@@ -228,6 +228,12 @@ def test_serialize_quotes_commas_in_labels():
     assert parse_study_csv(serialize_study_csv([s])) == [s]
 
 
+@pytest.mark.parametrize("stray", ["0.5,", ",0.3"])
+def test_serialize_drops_a_d_or_se_ignored_beside_complete_arms(stray):
+    text = serialize_study_csv(parse_study_csv(HEADER + f"\ns1,a,3,3,1,1,1,1,{stray}\n"))
+    assert text == HEADER + "\r\ns1,a,3,3,1.0,1.0,1.0,1.0,,\r\n"
+
+
 def test_serialize_carries_full_precision():
     s = StudySummary("s1", "lab", d=0.1 + 0.2, se=1.0 / 3.0)
     (back,) = parse_study_csv(serialize_study_csv([s]))
