@@ -148,35 +148,19 @@ def parse_study_csv(content: str | bytes) -> StudyTable:
         except DomainError as exc:
             raise ParseError(f"row {row_num}: {exc}") from None
         records.append((study_id, row[1].strip(), *cells))
-    return StudyTable(*(zip(*records) if records else ((),) * len(STUDY_COLUMNS)))
-
-
-def _num_repr(x: float | int | None) -> str:
-    return "" if x is None else repr(x)
+    return StudyTable._from_rows(records)
 
 
 def serialize_study_csv(studies: Sequence[StudySummary]) -> str:
-    """Exact inverse of parse_study_csv on valid study sequences."""
+    """Exact inverse of parse_study_csv on valid study sequences, written
+    from the columns of ``StudyTable.of(studies)``."""
+    table = StudyTable.of(studies)
     buf = _stdio.StringIO()
     writer = csv.writer(buf)
     writer.writerow(STUDY_COLUMNS)
-    for s in studies:
-        if s.arm1 is not None and s.arm2 is not None:
-            row = [
-                s.study_id, s.label,
-                _num_repr(s.arm1.n), _num_repr(s.arm2.n),
-                _num_repr(s.arm1.mean), _num_repr(s.arm2.mean),
-                _num_repr(s.arm1.sd), _num_repr(s.arm2.sd),
-                "", "",
-            ]
-        else:
-            row = [
-                s.study_id, s.label,
-                _num_repr(s.n1), _num_repr(s.n2),
-                "", "", "", "",
-                _num_repr(s.d), _num_repr(s.se),
-            ]
-        writer.writerow(row)
+    writer.writerows(zip(*(
+        ["" if x is None else str(x) for x in getattr(table, column)] for column in STUDY_COLUMNS
+    )))
     return buf.getvalue()
 
 

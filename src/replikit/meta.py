@@ -1,6 +1,6 @@
 """Fixed-effects inverse-variance pooling of standardized mean differences and
-heterogeneity statistics. Pooling takes any sequence of ``StudySummary``; a
-``StudyTable`` is pooled from its columns. ``replikit.svg`` plots the result."""
+heterogeneity statistics. Pooling takes any sequence of ``StudySummary`` and
+reads it as a ``StudyTable`` of columns. ``replikit.svg`` plots the result."""
 
 from __future__ import annotations
 
@@ -10,7 +10,7 @@ from functools import reduce
 from operator import add
 from typing import Sequence
 
-from .effect_size import Interval, _d_se, cohens_d
+from .effect_size import Interval, _d_se
 from .errors import DomainError, InsufficientDataError
 from .stats_core import SampleSummary, normal_quantile
 
@@ -63,20 +63,14 @@ class StudySummary:
             raise DomainError(f"study {self.study_id!r}: no complete input form")
         _check_study(self.study_id, self.d, self.se, self.n1, self.n2)
 
-    def effect(self) -> tuple[float, float]:
-        """(d, se), computed from the arms when given as raw summaries."""
-        if self.arm1 is not None and self.arm2 is not None:
-            e = cohens_d(self.arm1, self.arm2)
-            return e.d, e.se
-        return float(self.d), float(self.se)
-
 
 @dataclass(frozen=True, eq=False)
 class StudyTable(Sequence[StudySummary]):
-    """The ten study-CSV columns in file order, ``None`` for an empty cell,
-    filled by ``io.parse_study_csv`` with checked rows; a row is in the arm
-    form when its ``mean1`` is given. As a sequence it yields each row's
-    ``StudySummary``, built on demand, and equals a list of equal studies."""
+    """The ten study-CSV columns in file order, ``None`` for a cell the row's
+    form does not use, filled with checked rows by ``io.parse_study_csv`` or
+    ``StudyTable.of``; a row is in the arm form when its ``mean1`` is given.
+    As a sequence it yields each row's ``StudySummary``, built on demand, and
+    equals a list of equal studies."""
 
     study_id: tuple[str, ...]
     label: tuple[str, ...]
@@ -88,6 +82,23 @@ class StudyTable(Sequence[StudySummary]):
     sd2: tuple[float | None, ...]
     d: tuple[float | None, ...]
     se: tuple[float | None, ...]
+
+    @classmethod
+    def _from_rows(cls, rows: Sequence[tuple]) -> StudyTable:
+        """The table of rows given as ten-value tuples in column order."""
+        return cls(*(zip(*rows) if rows else ((),) * 10))
+
+    @classmethod
+    def of(cls, studies: Sequence[StudySummary]) -> StudyTable:
+        """``studies`` as a table: a table as it is, else one row per study."""
+        if isinstance(studies, StudyTable):
+            return studies
+        return cls._from_rows([
+            (s.study_id, s.label, s.n1, s.n2, None, None, None, None, s.d, s.se) if s.arm1 is None
+            else (s.study_id, s.label, s.arm1.n, s.arm2.n, s.arm1.mean, s.arm2.mean,
+                  s.arm1.sd, s.arm2.sd, None, None)
+            for s in studies
+        ])
 
     def __len__(self) -> int:
         return len(self.study_id)
@@ -111,7 +122,7 @@ class StudyTable(Sequence[StudySummary]):
         """(d, se) per row, in row order, from the arms for arm-form rows."""
         columns = (self.n1, self.n2, self.mean1, self.mean2, self.sd1, self.sd2, self.d, self.se)
         return tuple(
-            (d, se) if m1 is None else _d_se(n1, m1, s1, n2, m2, s2)
+            (float(d), float(se)) if m1 is None else _d_se(n1, m1, s1, n2, m2, s2)
             for n1, n2, m1, m2, s1, s2, d, se in zip(*columns)
         )
 
@@ -141,10 +152,8 @@ def fixed_effect_pool(studies: Sequence[StudySummary], level: float = 0.95) -> M
         raise InsufficientDataError("need at least one study to pool")
     if not 0.0 < level < 1.0:
         raise DomainError(f"level must be in (0, 1), got {level}")
-    if isinstance(studies, StudyTable):
-        effects, labels = studies.effects(), studies.label
-    else:
-        effects, labels = tuple(s.effect() for s in studies), tuple(s.label for s in studies)
+    table = StudyTable.of(studies)
+    effects = table.effects()
     ds = [d for d, _ in effects]
     weights = tuple(1.0 / (se * se) for _, se in effects)
     # Left-to-right folds: from Python 3.12 the builtin ``sum`` compensates
@@ -170,5 +179,5 @@ def fixed_effect_pool(studies: Sequence[StudySummary], level: float = 0.95) -> M
         q_statistic=q,
         i_squared=i2,
         effects=effects,
-        labels=labels,
+        labels=table.label,
     )

@@ -20,6 +20,7 @@ from replikit import (
     serialize_study_csv,
 )
 from replikit.io import OutputFormat, Percent, Table, fmt4, render
+from replikit.meta import StudyTable
 from replikit.simulation import SignAgreementTable, batch_to_csv
 
 HEADER = "study_id,label,n1,n2,mean1,mean2,sd1,sd2,d,se"
@@ -221,6 +222,7 @@ def direct_form_studies(draw):
 @given(studies=st.lists(arm_form_studies() | direct_form_studies(), max_size=6))
 def test_serialize_parse_round_trip(studies):
     assert parse_study_csv(serialize_study_csv(studies)) == studies
+    assert list(StudyTable.of(studies)) == studies
 
 
 def test_serialize_quotes_commas_in_labels():

@@ -91,7 +91,7 @@ def test_arm_form_effect_matches_effect_module():
     b = SampleSummary(30, 100.0, 20.0)
     study = StudySummary("s", "s", arm1=a, arm2=b)
     eff = cohens_d(a, b)
-    assert study.effect() == (eff.d, eff.se)
+    assert fixed_effect_pool([study]).effects == ((eff.d, eff.se),)
 
 
 def test_mixed_forms_pool_together():
@@ -112,6 +112,11 @@ def test_identity_pooling():
     assert math.isclose(result.pooled_se, 0.3, rel_tol=1e-12)
     assert result.q_statistic == 0.0
     assert result.i_squared == 0.0
+
+
+def test_integer_d_and_se_pool_as_floats():
+    (effect,) = fixed_effect_pool([direct("s1", 1, 1)]).effects
+    assert effect == (1.0, 1.0) and all(type(x) is float for x in effect)
 
 
 def test_two_equal_studies_closed_form():
@@ -238,6 +243,7 @@ def arm_studies(k):
 def test_pooled_effects_and_labels_follow_the_studies():
     studies = arm_studies(2) + [direct("s2", 0.25, 0.5, label="b")]
     pooled = fixed_effect_pool(studies, level=0.9)
-    assert pooled.effects == tuple(s.effect() for s in studies)
+    arms = [cohens_d(s.arm1, s.arm2) for s in studies[:2]]
+    assert pooled.effects == (*((e.d, e.se) for e in arms), (0.25, 0.5))
     assert pooled.labels == ("s0", "s1", "b")
     assert pooled.ci.level == 0.9

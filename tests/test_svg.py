@@ -7,7 +7,7 @@ from statistics import NormalDist
 
 import pytest
 
-from replikit import DomainError, SampleSummary, StudySummary, fixed_effect_pool
+from replikit import DomainError, SampleSummary, StudySummary, fixed_effect_pool, meta
 from replikit.svg import (
     HEIGHT_PER_ROW,
     MARGIN_BOTTOM,
@@ -253,17 +253,12 @@ def test_funnel_points_do_not_depend_on_study_order():
 
 def test_plots_derive_each_effect_once(monkeypatch):
     calls = []
-    effect = StudySummary.effect
-
-    def counted(self):
-        calls.append(self.study_id)
-        return effect(self)
-
-    monkeypatch.setattr(StudySummary, "effect", counted)
+    d_se = meta._d_se
+    monkeypatch.setattr(meta, "_d_se", lambda *arms: calls.append(arms[1]) or d_se(*arms))
     pooled = fixed_effect_pool(arm_studies(3))
     render_forest_svg(pooled)
     render_funnel_svg(pooled)
-    assert calls == ["s0", "s1", "s2"]
+    assert calls == [105.0, 106.0, 107.0]  # mean1 of s0, s1, s2
 
 
 @pytest.mark.parametrize("d", [1.0, -2.0**54, 2.0**54, 1e300])
