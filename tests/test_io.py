@@ -3,6 +3,7 @@
 import json
 import math
 
+import numpy as np
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
@@ -228,6 +229,15 @@ def test_serialize_parse_round_trip(studies):
 def test_serialize_quotes_commas_in_labels():
     s = StudySummary("s1", 'a, "b"', d=0.5, se=0.4)
     assert parse_study_csv(serialize_study_csv([s])) == [s]
+
+
+def test_serialize_writes_numpy_scalars_that_parse_back():
+    studies = [
+        StudySummary("s1", "a", d=np.float64(0.5), se=np.float64(0.3), n1=np.int64(12), n2=12),
+        StudySummary("s2", "b", arm1=SampleSummary(np.int64(30), np.float64(1.5), np.float64(2.0)),
+                     arm2=SampleSummary(np.int64(28), 1.0, np.float32(2.5))),
+    ]
+    assert parse_study_csv(serialize_study_csv(studies)) == studies
 
 
 @pytest.mark.parametrize("stray", ["0.5,", ",0.3"])
