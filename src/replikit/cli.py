@@ -5,8 +5,9 @@ its effective configuration so any published number can be reproduced from
 the output alone; in text mode the echo is commented header lines, in json
 it is a "config" key, and in csv/svg it goes to stderr.
 
-Exit codes: 0 success, 2 input/parse error, 3 domain/precondition error
-(out of memory included), 4 numeric non-convergence.
+Exit codes: 0 success, 2 input/parse error (a study file over
+``MAX_STUDY_BYTES`` included), 3 domain/precondition error (out of memory
+included), 4 numeric non-convergence.
 """
 
 from __future__ import annotations
@@ -29,6 +30,8 @@ from .svg import render_forest_svg, render_funnel_svg
 NAMED_EFFECTS = {"none": 0.0, "small": 0.2}
 
 PROG = "replikit"
+# A larger study file, or a stream that never ends, is refused unparsed.
+MAX_STUDY_BYTES = 256 * 2**20
 
 
 class _Parser(argparse.ArgumentParser):
@@ -233,9 +236,12 @@ def _read_studies(args: argparse.Namespace):
     if args.command != "meta" and args.format != OutputFormat.SVG.value:
         raise UnsupportedFormatError(f"{args.command} renders svg only; got --format {args.format}")
     try:
-        content = Path(args.path).read_bytes()
+        with open(args.path, "rb") as handle:
+            content = handle.read(MAX_STUDY_BYTES + 1)
     except OSError as exc:
         raise ParseError(f"cannot read {args.path}: {exc}") from None
+    if len(content) > MAX_STUDY_BYTES:
+        raise ParseError(f"{args.path} is over the {MAX_STUDY_BYTES}-byte limit for a study file")
     return parse_study_csv(content)
 
 
@@ -261,11 +267,11 @@ def _cmd_meta(args: argparse.Namespace) -> int:
 def _cmd_plot(args: argparse.Namespace) -> int:
     studies = _read_studies(args)
     svg_text = args.render(fixed_effect_pool(studies, level=args.level))
-    sys.stderr.write(config_lines(_study_config(args, studies)))
     if args.output:
         Path(args.output).write_text(svg_text, encoding="utf-8")
     else:
         sys.stdout.write(svg_text)
+    sys.stderr.write(config_lines(_study_config(args, studies)))
     return 0
 
 

@@ -1,12 +1,18 @@
 """End-to-end CLI behavior: output routing, config echo, exit codes."""
 
 import json
+import os
+import subprocess
+import sys
 import warnings
+from pathlib import Path
 
 import pytest
 
 from replikit import cli
 from replikit.cli import main
+
+SRC = str(Path(cli.__file__).resolve().parents[1])
 
 STUDY_HEADER = "study_id,label,n1,n2,mean1,mean2,sd1,sd2,d,se"
 TWO_STUDIES = (
@@ -383,6 +389,40 @@ def test_study_commands_check_the_level(command, level, study_file, capsys):
 def test_meta_missing_file_exits_2(capsys):
     assert main(["meta", "/nonexistent/studies.csv"]) == 2
     assert "cannot read" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("command", ["meta", "forest", "funnel"])
+def test_study_file_over_the_size_cap_exits_2(command, study_file, monkeypatch, capsys):
+    size = Path(study_file).stat().st_size
+    monkeypatch.setattr(cli, "MAX_STUDY_BYTES", size - 1)
+    assert main([command, study_file]) == 2
+    assert capsys.readouterr() == (
+        "", f"replikit: error: {study_file} is over the {size - 1}-byte limit for a study file\n")
+    monkeypatch.setattr(cli, "MAX_STUDY_BYTES", size)
+    assert main([command, study_file]) == 0
+
+
+# The child's address space is capped, so a regression that reads the
+# endless stream runs out of memory in the child, not on the machine.
+CAPPED_MAIN = """import resource, sys
+resource.setrlimit(resource.RLIMIT_AS, (2**30, 2**30))
+from replikit.cli import main
+sys.exit(main(sys.argv[1:]))
+"""
+
+
+@pytest.mark.skipif(not os.path.exists("/dev/zero"), reason="needs /dev/zero")
+def test_endless_study_stream_exits_2_under_a_memory_cap():
+    proc = subprocess.run(
+        [sys.executable, "-c", CAPPED_MAIN, "meta", "/dev/zero"],
+        env={**os.environ, "PYTHONPATH": SRC},
+        capture_output=True,
+        text=True,
+        timeout=60,
+    )
+    assert (proc.returncode, proc.stdout) == (2, "")
+    assert proc.stderr == (
+        f"replikit: error: /dev/zero is over the {cli.MAX_STUDY_BYTES}-byte limit for a study file\n")
 
 
 def test_meta_ambiguous_csv_exits_2(tmp_path, capsys):

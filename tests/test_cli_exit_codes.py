@@ -1,8 +1,9 @@
 """Property: every CLI input either gives a result or exits 2, 3 or 4.
 
 Generated argv and study-CSV bytes drive ``main()``, which must return 0, 2,
-3 or 4, never raise, warn nothing, print one stderr line on exit 3 or 4, and
-print only RFC 8259 JSON (no NaN or Infinity) on a json success.
+3 or 4, never raise, warn nothing, print one ``replikit: error:`` stderr line
+on any nonzero exit that is not an argparse usage error, and print only
+RFC 8259 JSON (no NaN or Infinity) on a json success.
 Simulation sizes are bounded so that no example allocates much, and every
 file an example names lives in its own temporary directory.
 """
@@ -21,8 +22,9 @@ from replikit.cli import main
 
 EXIT_CODES = {0, 2, 3, 4}
 # Generated argv names files by these names; each example maps them into its
-# own temporary directory.
-FILE_NAMES = ("studies.csv", "plot.svg", "batch.csv")
+# own temporary directory. ``no-such-dir`` is never made there, so an output
+# path inside it cannot be written.
+FILE_NAMES = ("studies.csv", "plot.svg", "batch.csv", "no-such-dir")
 
 
 def reject_constant(name):
@@ -113,7 +115,10 @@ study_argv = st.one_of(
     command("meta", st.just(["studies.csv"])),
     st.sampled_from(["forest", "funnel"]).flatmap(
         lambda name: command(
-            name, st.just(["studies.csv"]), option("--output", st.just("plot.svg")), formats=plot_formats
+            name,
+            st.just(["studies.csv"]),
+            option("--output", st.sampled_from(["plot.svg", "no-such-dir/x.svg"])),
+            formats=plot_formats,
         )
     ),
 )
@@ -159,6 +164,9 @@ study_bytes = weighted((3, study_text.map(str.encode)), (1, st.binary(max_size=6
                "--rep-n2", "30"], content=b"")
 @example(argv=["simulate", "--runs", str(2**64)], content=b"")
 @example(argv=["simulate", "--runs", str(2**62), "--n-per-arm", str(2**62)], content=b"")
+# An output that cannot be written, after a study file that pools.
+@example(argv=["forest", "studies.csv", "--output", "no-such-dir/x.svg"],
+         content=b"study_id,label,n1,n2,mean1,mean2,sd1,sd2,d,se\ns1,a,,,,,,,0.5,0.3\n")
 def test_main_returns_an_exit_code_and_never_raises(argv, content):
     out, err = io.StringIO(), io.StringIO()
     with tempfile.TemporaryDirectory() as workdir:
@@ -175,6 +183,6 @@ def test_main_returns_an_exit_code_and_never_raises(argv, content):
     assert [str(w.message) for w in caught] == []
     if rc == 0 and out.getvalue().startswith("{"):
         json.loads(out.getvalue(), parse_constant=reject_constant)
-    if rc in (3, 4):
-        assert err.getvalue().startswith("replikit: error: ")
+    if rc in (3, 4) or (rc == 2 and not err.getvalue().startswith("usage: ")):
+        assert err.getvalue().startswith("replikit: error: "), err.getvalue()
         assert err.getvalue().count("\n") == 1, err.getvalue()
