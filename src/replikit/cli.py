@@ -30,8 +30,7 @@ from .svg import render_forest_svg, render_funnel_svg
 NAMED_EFFECTS = {"none": 0.0, "small": 0.2}
 
 PROG = "replikit"
-# A larger study file, or a stream that never ends, is refused unparsed.
-MAX_STUDY_BYTES = 256 * 2**20
+MAX_STUDY_BYTES = 256 * 2**20  # a larger study file or an endless stream is refused
 
 
 class _Parser(argparse.ArgumentParser):

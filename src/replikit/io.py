@@ -2,7 +2,8 @@
 
 ``parse_study_csv`` reads a study file into a ``meta.StudyTable`` of
 columns in one pass, with the row checks of ``SampleSummary`` and
-``StudySummary`` and their row-numbered messages.
+``StudySummary`` and their row-numbered messages. ``serialize_study_csv``
+writes any study sequence from the columns of its table.
 
 Each command hands ``render`` its config echo and its result as ordered
 tables; per-type rules decide how a value looks in each format. Renders are
