@@ -5,9 +5,8 @@ its effective configuration so any published number can be reproduced from
 the output alone; in text mode the echo is commented header lines, in json
 it is a "config" key, and in csv/svg it goes to stderr.
 
-Exit codes: 0 success, 2 input/parse error (a study file over
-``MAX_STUDY_BYTES`` included), 3 domain/precondition error (out of memory
-included), 4 numeric non-convergence.
+Exit codes: 0 success, 2 input/parse error, 3 domain/precondition error
+(out of memory included), 4 numeric non-convergence.
 """
 
 from __future__ import annotations
@@ -16,6 +15,7 @@ import argparse
 import re
 import sys
 from dataclasses import asdict
+from itertools import islice
 from pathlib import Path
 from typing import Mapping, Sequence
 
@@ -235,13 +235,13 @@ def _read_studies(args: argparse.Namespace):
     if args.command != "meta" and args.format != OutputFormat.SVG.value:
         raise UnsupportedFormatError(f"{args.command} renders svg only; got --format {args.format}")
     try:
-        with open(args.path, "rb") as handle:
-            content = handle.read(MAX_STUDY_BYTES + 1)
+        with open(args.path, "rb") as handle:  # in chunks: read(n) reserves n bytes up front
+            chunks = [*islice(iter(lambda: handle.read(2**20), b""), MAX_STUDY_BYTES // 2**20 + 1)]
     except OSError as exc:
         raise ParseError(f"cannot read {args.path}: {exc}") from None
-    if len(content) > MAX_STUDY_BYTES:
+    if sum(map(len, chunks)) > MAX_STUDY_BYTES:
         raise ParseError(f"{args.path} is over the {MAX_STUDY_BYTES}-byte limit for a study file")
-    return parse_study_csv(content)
+    return parse_study_csv(b"".join(chunks))
 
 
 def _study_config(args: argparse.Namespace, studies: Sequence[object]) -> dict[str, object]:

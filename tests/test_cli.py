@@ -402,27 +402,39 @@ def test_study_file_over_the_size_cap_exits_2(command, study_file, monkeypatch, 
     assert main([command, study_file]) == 0
 
 
-# The child's address space is capped, so a regression that reads the
-# endless stream runs out of memory in the child, not on the machine.
+# ``main`` in a child whose address space is capped at argv[1] MiB, so a
+# regression that reads an endless stream runs out of memory in the child,
+# not on the machine.
 CAPPED_MAIN = """import resource, sys
-resource.setrlimit(resource.RLIMIT_AS, (2**30, 2**30))
+limit = int(sys.argv[1]) * 2**20
+resource.setrlimit(resource.RLIMIT_AS, (limit, limit))
 from replikit.cli import main
-sys.exit(main(sys.argv[1:]))
+sys.exit(main(sys.argv[2:]))
 """
 
 
-@pytest.mark.skipif(not os.path.exists("/dev/zero"), reason="needs /dev/zero")
-def test_endless_study_stream_exits_2_under_a_memory_cap():
-    proc = subprocess.run(
-        [sys.executable, "-c", CAPPED_MAIN, "meta", "/dev/zero"],
+def run_capped(mib, *argv):
+    return subprocess.run(
+        [sys.executable, "-c", CAPPED_MAIN, str(mib), *argv],
         env={**os.environ, "PYTHONPATH": SRC},
         capture_output=True,
         text=True,
         timeout=60,
     )
+
+
+@pytest.mark.skipif(not os.path.exists("/dev/zero"), reason="needs /dev/zero")
+def test_endless_study_stream_exits_2_under_a_memory_cap():
+    proc = run_capped(1024, "meta", "/dev/zero")
     assert (proc.returncode, proc.stdout) == (2, "")
     assert proc.stderr == (
         f"replikit: error: /dev/zero is over the {cli.MAX_STUDY_BYTES}-byte limit for a study file\n")
+
+
+def test_small_study_file_reads_in_less_memory_than_the_cap(study_file):
+    # 128 MiB is about six times what meta needs, and half the size cap.
+    proc = run_capped(128, "meta", study_file)
+    assert proc.returncode == 0, proc.stderr
 
 
 def test_meta_ambiguous_csv_exits_2(tmp_path, capsys):
