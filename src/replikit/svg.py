@@ -29,26 +29,21 @@ def _f(x: float) -> str:
     return f"{x:.2f}"
 
 
-def x_transform(value: float, axis_lo: float, axis_hi: float) -> float:
-    """Map an effect value to an x pixel coordinate on the plot axis."""
-    return _x_coords([value], axis_lo, axis_hi)[0]
-
-
 def _x_coords(values: list[float], axis_lo: float, axis_hi: float) -> list[float]:
+    """Map effect values to x pixel coordinates on the plot axis."""
     span, width = axis_hi - axis_lo, WIDTH - MARGIN_LEFT - MARGIN_RIGHT
     return [MARGIN_LEFT + (v - axis_lo) / span * width for v in values]
 
 
-def _axis_ticks(axis_lo: float, axis_hi: float) -> list[float]:
-    step = (axis_hi - axis_lo) / (N_TICKS - 1)
-    return [axis_lo + i * step for i in range(N_TICKS)]
-
-
-def _header(height: float) -> str:
+def _header(height: float, pooled_x: float, line_top: float, line_bottom: float) -> str:
+    """The plot's frame: background, then the dashed pooled-effect line."""
     return (
         f'<svg xmlns="http://www.w3.org/2000/svg" width="{_f(WIDTH)}" height="{_f(height)}" '
         f'viewBox="0 0 {_f(WIDTH)} {_f(height)}">\n'
         f'<rect x="0" y="0" width="{_f(WIDTH)}" height="{_f(height)}" fill="white"/>\n'
+        f'<line x1="{_f(pooled_x)}" y1="{_f(line_top)}" '
+        f'x2="{_f(pooled_x)}" y2="{_f(line_bottom)}" '
+        f'stroke="{_ACCENT}" stroke-dasharray="4 3" stroke-width="1"/>\n'
     )
 
 
@@ -85,13 +80,8 @@ def render_forest_svg(pooled: MetaResult) -> str:
     height = MARGIN_TOP + (n + 1) * HEIGHT_PER_ROW + MARGIN_BOTTOM
     axis_y = MARGIN_TOP + (n + 1) * HEIGHT_PER_ROW + 12.0
 
-    parts = [_header(height)]
-    pooled_x = x_transform(pooled.pooled_d, lo, hi)
-    parts.append(
-        f'<line x1="{_f(pooled_x)}" y1="{_f(MARGIN_TOP - 12.0)}" '
-        f'x2="{_f(pooled_x)}" y2="{_f(axis_y)}" '
-        f'stroke="{_ACCENT}" stroke-dasharray="4 3" stroke-width="1"/>\n'
-    )
+    pooled_x, dx_lo, dx_hi = _x_coords([pooled.pooled_d, pooled.ci.lower, pooled.ci.upper], lo, hi)
+    parts = [_header(height, pooled_x, MARGIN_TOP - 12.0, axis_y)]
 
     label_x = _f(MARGIN_LEFT - 10.0)
     x_lo, x_hi, x_d = (_x_coords(v, lo, hi) for v in (lows, highs, ds))
@@ -109,8 +99,6 @@ def render_forest_svg(pooled: MetaResult) -> str:
 
     # Pooled-effect diamond spanning its confidence interval.
     cy = MARGIN_TOP + n * HEIGHT_PER_ROW + HEIGHT_PER_ROW / 2.0
-    dx_lo = x_transform(pooled.ci.lower, lo, hi)
-    dx_hi = x_transform(pooled.ci.upper, lo, hi)
     half_h = 7.0
     parts.append(
         f'<text x="{_f(MARGIN_LEFT - 10.0)}" y="{_f(cy + 4.0)}" text-anchor="end" '
@@ -142,13 +130,7 @@ def render_funnel_svg(pooled: MetaResult) -> str:
         # se=0 at the top, increasing downward.
         return plot_top + (se / se_max) * (plot_bottom - plot_top)
 
-    parts = [_header(height)]
-    pooled_x = x_transform(pooled.pooled_d, lo, hi)
-    parts.append(
-        f'<line x1="{_f(pooled_x)}" y1="{_f(plot_top)}" '
-        f'x2="{_f(pooled_x)}" y2="{_f(plot_bottom)}" '
-        f'stroke="{_ACCENT}" stroke-dasharray="4 3" stroke-width="1"/>\n'
-    )
+    parts = [_header(height, _x_coords([pooled.pooled_d], lo, hi)[0], plot_top, plot_bottom)]
     for x, se in zip(_x_coords(ds, lo, hi), ses):
         parts.append(
             f'<circle cx="{_f(x)}" cy="{_f(y_of(se))}" r="4" '
@@ -173,14 +155,14 @@ def render_funnel_svg(pooled: MetaResult) -> str:
 
 
 def _axis(axis_y: float, lo: float, hi: float) -> str:
-    x_start = x_transform(lo, lo, hi)
-    x_end = x_transform(hi, lo, hi)
+    x_start, x_end = _x_coords([lo, hi], lo, hi)
     parts = [
         f'<line x1="{_f(x_start)}" y1="{_f(axis_y)}" x2="{_f(x_end)}" y2="{_f(axis_y)}" '
         f'stroke="{_FG}" stroke-width="1"/>\n'
     ]
-    for tick in _axis_ticks(lo, hi):
-        tx = x_transform(tick, lo, hi)
+    step = (hi - lo) / (N_TICKS - 1)
+    ticks = [lo + i * step for i in range(N_TICKS)]
+    for tick, tx in zip(ticks, _x_coords(ticks, lo, hi)):
         parts.append(
             f'<line x1="{_f(tx)}" y1="{_f(axis_y)}" x2="{_f(tx)}" y2="{_f(axis_y + 5.0)}" '
             f'stroke="{_FG}" stroke-width="1"/>\n'

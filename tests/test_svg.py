@@ -18,8 +18,8 @@ from replikit.svg import (
     WIDTH,
     axis_range,
     render_forest_svg,
+    _x_coords,
     render_funnel_svg,
-    x_transform,
 )
 
 PLOT_WIDTH = WIDTH - MARGIN_LEFT - MARGIN_RIGHT
@@ -275,9 +275,9 @@ def test_axis_range_rejects_an_axis_that_overflows():
         axis_range(-1e308, 1e308)
 
 
-def test_x_transform_is_affine_and_monotone():
-    assert x_transform(0.0, 0.0, 1.0) == MARGIN_LEFT
-    assert x_transform(1.0, 0.0, 1.0) == WIDTH - MARGIN_RIGHT
-    mid = x_transform(0.5, 0.0, 1.0)
+def test_x_coords_is_affine_and_monotone():
+    start, end, mid, x2, x3 = _x_coords([0.0, 1.0, 0.5, 0.2, 0.3], 0.0, 1.0)
+    assert start == MARGIN_LEFT
+    assert end == WIDTH - MARGIN_RIGHT
     assert MARGIN_LEFT < mid < WIDTH - MARGIN_RIGHT
-    assert x_transform(0.2, 0.0, 1.0) < x_transform(0.3, 0.0, 1.0)
+    assert x2 < x3
