@@ -12,6 +12,7 @@ Exit codes: 0 success, 2 input/parse error, 3 domain/precondition error
 from __future__ import annotations
 
 import argparse
+import os
 import re
 import sys
 from dataclasses import asdict
@@ -228,12 +229,26 @@ def _cmd_pi(args: argparse.Namespace) -> int:
     return _emit(fmt, config, [Table(rows)])
 
 
-def _read_studies(args: argparse.Namespace):
-    """The command's study file, read only once its --format is known to be valid."""
-    if args.command == "meta" and args.format == OutputFormat.SVG.value:
+def _check_output(args: argparse.Namespace) -> None:
+    """Refuse a --format the command cannot render, and an output file it cannot
+    write, before any study file is read or any run simulated."""
+    plot, svg = args.command in ("forest", "funnel"), args.format == OutputFormat.SVG.value
+    if svg and args.command == "meta":
         raise UnsupportedFormatError("meta renders tables; use forest or funnel for svg")
-    if args.command != "meta" and args.format != OutputFormat.SVG.value:
+    if svg and not plot:
+        render(OutputFormat.SVG, {}, [])  # raises io's refusal of svg for a table command
+    if plot and not svg:
         raise UnsupportedFormatError(f"{args.command} renders svg only; got --format {args.format}")
+    path = getattr(args, "output", None) or getattr(args, "dump_batch", None)
+    if path and not Path(path).is_fifo():  # opening a named pipe would wait for its reader
+        made = not os.path.lexists(path)
+        open(path, "ab").close()  # appending truncates nothing
+        if made:
+            os.unlink(path)
+
+
+def _read_studies(args: argparse.Namespace):
+    """The command's study file, read in chunks up to ``MAX_STUDY_BYTES``."""
     try:
         with open(args.path, "rb") as handle:  # in chunks: read(n) reserves n bytes up front
             chunks = [*islice(iter(lambda: handle.read(2**20), b""), MAX_STUDY_BYTES // 2**20 + 1)]
@@ -281,6 +296,7 @@ def main(argv: Sequence[str] | None = None) -> int:
     except SystemExit as exc:
         return int(exc.code or 0)
     try:
+        _check_output(args)
         return args.handler(args)
     except ReplikitError as exc:
         print(f"{PROG}: error: {exc}", file=sys.stderr)

@@ -101,9 +101,11 @@ def standard_error_d(d: float, n1: int, n2: int) -> float:
 
 
 def hedges_correction(df: int) -> float:
-    """Exact small-sample bias correction factor J for df = n1 + n2 - 2."""
+    """Small-sample bias correction factor J for df = n1 + n2 - 2, to 1e-12 relative."""
     if df < 2:
         raise DomainError(f"df must be >= 2, got {df}")
+    if df >= 1000:  # the lgamma difference below cancels; its series in 1/df does not
+        return 1.0 - (0.75 + (7 / 32 + (9 / 128 - 59 / 2048 / df) / df) / df) / df
     return math.exp(math.lgamma(df / 2.0) - math.lgamma((df - 1) / 2.0)) / math.sqrt(df / 2.0)
 
 

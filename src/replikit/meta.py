@@ -36,7 +36,7 @@ class StudySummary:
     """One study's input: either two arm summaries or a precomputed (d, se).
 
     Exactly one of the two forms must be present. ``n1``/``n2`` may accompany
-    the (d, se) form when the sample sizes are known.
+    only the (d, se) form, when the sample sizes are known.
     """
 
     study_id: str
@@ -55,6 +55,8 @@ class StudySummary:
         direct_complete = self.d is not None and self.se is not None
         if arms_complete and direct_complete:
             raise DomainError(f"study {self.study_id!r}: both input forms present")
+        if arms_complete and (self.n1 is not None or self.n2 is not None):
+            raise DomainError(f"study {self.study_id!r}: n1 and n2 go with d and se, not arms")
         if has_arms and not arms_complete:
             raise DomainError(f"study {self.study_id!r}: only one arm summary given")
         if has_direct and not direct_complete:

@@ -178,10 +178,8 @@ def cohens_d_rows(
     """Row-wise ``cohens_d`` (no Hedges correction) as (d, se) arrays, each row
     bit-identical to the scalar path and rejected with the error it raises.
 
-    The scalar ``cohens_d`` stays a separate kernel: study pooling derives one
-    effect per study row, and for one study this kernel's numpy calls cost
-    about ten times the scalar arithmetic (27-29 us with floats or 1-element
-    arrays against 2.4-4.3 us; 2-vCPU VM, Python 3.11, numpy 2.4).
+    The scalar ``cohens_d`` stays a separate kernel because ``effect``, ``meta``,
+    ``forest`` and ``funnel`` run without numpy.
     """
     if not all(np.isfinite(a).all() for a in (mean1, sd1, mean2, sd2)):
         raise DomainError("mean and sd must be finite")

@@ -76,6 +76,15 @@ def test_effect_hedges_shrinks_d(capsys):
     assert corrected["config"]["hedges"] is True
 
 
+def test_effect_hedges_at_an_arm_size_of_2_to_the_64(capsys):
+    argv = ["effect", "--hedges", "--n1", str(2**64), "--mean1", "1", "--sd1", "1",
+            "--n2", "30", "--mean2", "0", "--sd2", "1"]
+    assert main(argv + ["--format", "json"]) == 0
+    assert abs(json.loads(capsys.readouterr().out)["d"] - 1.0) <= 1e-12
+    assert main(argv) == 0
+    assert "category  Large+\n" in capsys.readouterr().out
+
+
 def test_effect_svg_rejected(capsys):
     assert main(EFFECT_ARGS + ["--format", "svg"]) == 2
     assert "error" in capsys.readouterr().err
@@ -400,6 +409,52 @@ def test_study_file_over_the_size_cap_exits_2(command, study_file, monkeypatch, 
         "", f"replikit: error: {study_file} is over the {size - 1}-byte limit for a study file\n")
     monkeypatch.setattr(cli, "MAX_STUDY_BYTES", size)
     assert main([command, study_file]) == 0
+
+
+@pytest.mark.parametrize(
+    "argv, message",
+    [
+        (["simulate", "--runs", "200000", "--dump-batch", "{missing}/batch.csv"], "No such file"),
+        (["forest", "{studies}", "--output", "{missing}/x.svg"], "No such file"),
+        (["funnel", "{studies}", "--output", "{tmp}"], "Is a directory"),
+        (["simulate", "--runs", "200000", "--format", "svg"], "only available for plot commands"),
+    ],
+    ids=["dump-batch", "forest-output", "funnel-output-dir", "simulate-svg"],
+)
+def test_output_is_checked_before_the_work(
+    argv, message, study_file, tmp_path, monkeypatch, capsys
+):
+    def work(*args, **kwargs):
+        raise AssertionError("the work ran before the output was checked")
+
+    monkeypatch.setattr("replikit.simulation.run_simulation", work)
+    monkeypatch.setattr(cli, "parse_study_csv", work)
+    names = {"missing": str(tmp_path / "no-such-dir"), "studies": study_file, "tmp": str(tmp_path)}
+    assert main([tok.format(**names) for tok in argv]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("replikit: error: ") and message in captured.err
+    assert captured.err.count("\n") == 1
+
+
+BAD_STUDY_FILE = STUDY_HEADER + "\ns1,a,,,,,,,0.1,1e-200\n"
+
+
+def test_failed_command_leaves_an_existing_output_as_it_was(tmp_path, capsys):
+    studies, out = tmp_path / "bad.csv", tmp_path / "plot.svg"
+    studies.write_text(BAD_STUDY_FILE, encoding="utf-8")
+    out.write_text("an earlier plot\n", encoding="utf-8")
+    assert main(["forest", str(studies), "--output", str(out)]) == 2
+    assert capsys.readouterr().err.startswith("replikit: error: row 1: ")
+    assert out.read_text(encoding="utf-8") == "an earlier plot\n"
+
+
+def test_failed_command_leaves_no_output_file(tmp_path, capsys):
+    studies, out = tmp_path / "bad.csv", tmp_path / "plot.svg"
+    studies.write_text(BAD_STUDY_FILE, encoding="utf-8")
+    assert main(["funnel", str(studies), "--output", str(out)]) == 2
+    assert capsys.readouterr().err.startswith("replikit: error: row 1: ")
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["bad.csv"]
 
 
 # ``main`` in a child whose address space is capped at argv[1] MiB, so a

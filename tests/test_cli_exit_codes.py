@@ -3,7 +3,9 @@
 Generated argv and study-CSV bytes drive ``main()``, which must return 0, 2,
 3 or 4, never raise, warn nothing, print one ``replikit: error:`` stderr line
 on any nonzero exit that is not an argparse usage error, and print only
-RFC 8259 JSON (no NaN or Infinity) on a json success.
+RFC 8259 JSON (no NaN or Infinity) on a json success. A command that names
+an output it cannot write exits 2 before it parses or simulates anything, and
+a command that fails leaves no output file behind.
 Simulation sizes are bounded so that no example allocates much, and every
 file an example names lives in its own temporary directory.
 """
@@ -14,11 +16,13 @@ import json
 import os
 import tempfile
 import warnings
+from unittest import mock
 
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from replikit.cli import main
+from replikit.cli import main, parse_study_csv
+from replikit.simulation import run_simulation
 
 EXIT_CODES = {0, 2, 3, 4}
 # Generated argv names files by these names; each example maps them into its
@@ -99,7 +103,7 @@ simulate_argv = command(
     option("--mu", numbers),
     option("--sigma", sds),
     option("--workers", st.sampled_from(["-1", "0", "2", "10000", "x"])),
-    option("--dump-batch", st.just("batch.csv")),
+    option("--dump-batch", st.sampled_from(["batch.csv", "no-such-dir/batch.csv"])),
 )
 pi_argv = command(
     "pi",
@@ -164,22 +168,32 @@ study_bytes = weighted((3, study_text.map(str.encode)), (1, st.binary(max_size=6
                "--rep-n2", "30"], content=b"")
 @example(argv=["simulate", "--runs", str(2**64)], content=b"")
 @example(argv=["simulate", "--runs", str(2**62), "--n-per-arm", str(2**62)], content=b"")
-# An output that cannot be written, after a study file that pools.
+# Outputs that cannot be written, before a study file that pools and a batch.
 @example(argv=["forest", "studies.csv", "--output", "no-such-dir/x.svg"],
          content=b"study_id,label,n1,n2,mean1,mean2,sd1,sd2,d,se\ns1,a,,,,,,,0.5,0.3\n")
+@example(argv=["simulate", "--runs", "10", "--dump-batch", "no-such-dir/batch.csv"], content=b"")
 def test_main_returns_an_exit_code_and_never_raises(argv, content):
     out, err = io.StringIO(), io.StringIO()
+    unwritable = any("no-such-dir" in tok for tok in argv)
     with tempfile.TemporaryDirectory() as workdir:
         files = {name: os.path.join(workdir, name) for name in FILE_NAMES}
         with open(files["studies.csv"], "wb") as handle:
             handle.write(content)
         for name, path in files.items():
             argv = [tok.replace(name, path) for tok in argv]
-        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
-            with warnings.catch_warnings(record=True) as caught:
-                warnings.simplefilter("always")
-                rc = main(argv)
+        # Spies that tell whether the command parsed a study file or ran a batch.
+        with mock.patch("replikit.cli.parse_study_csv", wraps=parse_study_csv) as parse, \
+                mock.patch("replikit.simulation.run_simulation", wraps=run_simulation) as run:
+            with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+                with warnings.catch_warnings(record=True) as caught:
+                    warnings.simplefilter("always")
+                    rc = main(argv)
+        left = sorted(os.listdir(workdir))
     assert rc in EXIT_CODES, (rc, err.getvalue())
+    if unwritable:
+        assert rc == 2 and not parse.called and not run.called, err.getvalue()
+    if rc != 0:
+        assert left == ["studies.csv"], (left, err.getvalue())
     assert [str(w.message) for w in caught] == []
     if rc == 0 and out.getvalue().startswith("{"):
         json.loads(out.getvalue(), parse_constant=reject_constant)

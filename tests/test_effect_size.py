@@ -84,6 +84,22 @@ def test_hedges_j_approximation():
     assert abs(hedges_correction(18) - (1.0 - 3.0 / 71.0)) < 1e-3
 
 
+# Integer df on a log grid from 2 to 1e300, a quarter decade apart, and
+# both sides of the switch to the series.
+HEDGES_DFS = sorted({2, 3, 56, 999, 1000, 1001, *(round(10 ** (e / 4)) for e in range(2, 1201))})
+
+
+def test_hedges_correction_matches_mpmath_from_df_2_to_1e300():
+    mpmath = pytest.importorskip("mpmath")
+    # The loggamma difference at df 1e300 keeps about 20 digits of 320.
+    with mpmath.workdps(320):
+        for df in HEDGES_DFS:
+            half = mpmath.mpf(df) / 2
+            log_ratio = mpmath.loggamma(half) - mpmath.loggamma(half - 0.5)
+            exact = mpmath.exp(log_ratio) / mpmath.sqrt(half)
+            assert abs(hedges_correction(df) / exact - 1) <= 1e-12, df
+
+
 @given(a=arm_summaries, b=arm_summaries)
 def test_d_antisymmetric(a, b):
     try:

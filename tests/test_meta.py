@@ -52,6 +52,14 @@ def test_study_requires_exactly_one_form():
         StudySummary("s", "s", d=0.5, se=0.0)
 
 
+@pytest.mark.parametrize("n1, n2", [(99, 5), (30, 30), (30, None), (None, 30)])
+def test_arm_form_refuses_n1_and_n2(n1, n2):
+    # The arms carry their sizes; a separate n1/n2 would not survive a CSV round trip.
+    arm1, arm2 = SampleSummary(30, 1.0, 1.0), SampleSummary(30, 0.0, 1.0)
+    with pytest.raises(DomainError, match="n1 and n2 go with d and se"):
+        StudySummary("s", "s", arm1=arm1, arm2=arm2, n1=n1, n2=n2)
+
+
 @pytest.mark.parametrize("se", [1e-200, 1e200, 2.0**-512, 2.0**512])
 def test_direct_se_whose_weight_is_not_finite_and_positive_rejected(se):
     with pytest.raises(DomainError, match="se must be in"):
