@@ -18,8 +18,8 @@ from replikit.svg import (
     WIDTH,
     axis_range,
     render_forest_svg,
-    _x_coords,
     render_funnel_svg,
+    _x_coords,
 )
 
 PLOT_WIDTH = WIDTH - MARGIN_LEFT - MARGIN_RIGHT
