@@ -20,7 +20,7 @@ from itertools import islice
 from pathlib import Path
 from typing import Mapping, Sequence
 
-from .effect_size import EffectSize, classify, cohens_d, confidence_interval, standard_error_d
+from .effect_size import _BANDS, EffectSize, classify, cohens_d, confidence_interval, standard_error_d
 from .errors import ParseError, ReplikitError, UnsupportedFormatError
 from .io import OutputFormat, Percent, Table, config_lines, parse_study_csv, render
 from .meta import fixed_effect_pool
@@ -28,7 +28,7 @@ from .prediction import ReplicationDesign, confirms, prediction_interval
 from .stats_core import ContaminationSpec, SampleSummary
 from .svg import render_forest_svg, render_funnel_svg
 
-NAMED_EFFECTS = {"none": 0.0, "small": 0.2}
+NAMED_EFFECTS = {"none": 0.0, "small": _BANDS[0]}
 
 PROG = "replikit"
 MAX_STUDY_BYTES = 256 * 2**20  # a larger study file or an endless stream is refused

@@ -4,11 +4,12 @@ confidence intervals, and sign/magnitude classification."""
 from __future__ import annotations
 
 import math
+from bisect import bisect_left
 from dataclasses import dataclass
 from enum import Enum
 
 from .errors import DegenerateSampleError, DomainError
-from .stats_core import SampleSummary, normal_quantile
+from .stats_core import SampleSummary, _square, normal_quantile
 
 
 @dataclass(frozen=True)
@@ -41,8 +42,10 @@ class EffectCategory(Enum):
     LARGE_POS = "large_pos"
 
 
-# Cohen (1992) thresholds; a boundary value belongs to the inner band.
-_SMALL, _MED, _LARGE = 0.2, 0.5, 0.8
+# Cohen (1992) small/medium/large thresholds of |d|; a boundary value belongs
+# to the inner band. Band k of a d is _CATEGORIES[3 + k] above 0, else [3 - k].
+_BANDS = (0.2, 0.5, 0.8)
+_CATEGORIES = tuple(EffectCategory)
 
 _TEXT_LABELS = {
     EffectCategory.LARGE_NEG: "Large-",
@@ -120,10 +123,7 @@ def _d_se(n1: int, mean1: float, sd1: float, n2: int, mean2: float, sd2: float):
     if max(sd1, sd2) < _TINY_SD:
         scale = math.frexp(max(sd1, sd2))[1]
         sd1, sd2 = math.ldexp(sd1, -scale), math.ldexp(sd2, -scale)
-    try:
-        var_sum = (n1 - 1) * sd1**2 + (n2 - 1) * sd2**2
-    except OverflowError:  # float ``**`` raises where numpy would give inf
-        var_sum = math.inf
+    var_sum = (n1 - 1) * _square(sd1) + (n2 - 1) * _square(sd2)
     sp = math.ldexp(math.sqrt(var_sum / (n1 + n2 - 2)), scale)
     if not math.isfinite(sp):
         raise DomainError(_NON_FINITE_SD)
@@ -155,14 +155,8 @@ def classify(d: float) -> EffectCategory:
     """Bin d into one of the seven sign/magnitude categories."""
     if not math.isfinite(d):
         raise DomainError(f"d must be finite, got {d}")
-    mag = abs(d)
-    if mag <= _SMALL:
-        return EffectCategory.NONE
-    if mag <= _MED:
-        return EffectCategory.SMALL_POS if d > 0 else EffectCategory.SMALL_NEG
-    if mag <= _LARGE:
-        return EffectCategory.MED_POS if d > 0 else EffectCategory.MED_NEG
-    return EffectCategory.LARGE_POS if d > 0 else EffectCategory.LARGE_NEG
+    band = bisect_left(_BANDS, abs(d))
+    return _CATEGORIES[3 + band if d > 0 else 3 - band]
 
 
 def confidence_interval(effect: EffectSize, level: float = 0.95) -> Interval:

@@ -12,7 +12,7 @@ from typing import Sequence
 
 from .effect_size import Interval, _d_se
 from .errors import DomainError, InsufficientDataError
-from .stats_core import SampleSummary, normal_quantile
+from .stats_core import SampleSummary, _square, normal_quantile
 
 
 def _check_study(study_id: str, d: float | None, se: float | None, n1, n2) -> None:
@@ -162,10 +162,7 @@ def fixed_effect_pool(studies: Sequence[StudySummary], level: float = 0.95) -> M
     # float rounding, which would make the result depend on the version.
     w_total = reduce(add, weights, 0.0)
     pooled_d = reduce(add, (w * d for d, w in zip(ds, weights)), 0.0) / w_total
-    try:
-        q = reduce(add, (w * (d - pooled_d) ** 2 for d, w in zip(ds, weights)), 0.0)
-    except OverflowError:  # float ``**`` raises where numpy would give inf
-        q = math.inf
+    q = reduce(add, (w * _square(d - pooled_d) for d, w in zip(ds, weights)), 0.0)
     if not (math.isfinite(w_total) and math.isfinite(pooled_d) and math.isfinite(q)):
         raise DomainError("pooled d, se or Q is not finite; the studies are too large to pool")
     pooled_se = math.sqrt(1.0 / w_total)

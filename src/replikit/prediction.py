@@ -12,7 +12,7 @@ from dataclasses import dataclass
 
 from .effect_size import EffectSize, Interval, standard_error_d
 from .errors import DomainError, InconsistentIntervalError, NoSolutionError
-from .stats_core import normal_quantile, t_quantile
+from .stats_core import _square, normal_quantile, t_quantile
 
 _CENTER_TOLERANCE = 0.05
 # back_solve_n searches per-arm sizes m, i.e. total n = 2m in [4, 1e7].
@@ -38,10 +38,7 @@ class ReplicationDesign:
 
 def _half_width(se_orig: float, se_rep: float, df: float, level: float) -> float:
     tq = t_quantile((1.0 + level) / 2.0, df)
-    try:
-        half_width = tq * math.sqrt(se_orig**2 + se_rep**2)
-    except OverflowError:  # float ``**`` raises where numpy would give inf
-        half_width = math.inf
+    half_width = tq * math.sqrt(_square(se_orig) + _square(se_rep))
     if not math.isfinite(half_width):
         raise DomainError("prediction interval half-width is not finite")
     return half_width
@@ -100,29 +97,20 @@ def back_solve_n(d_orig: float, interval: Interval) -> int:
     r = normal_quantile((1.0 + interval.level) / 2.0) / target if target > 0 else math.inf
     m_est = 2.0 * (2.0 + d_orig * d_orig / 4.0) * r * r
     m = _M_SEARCH_HI if not m_est < _M_SEARCH_HI else max(_M_SEARCH_LO, int(m_est))
-    w, step = half_width(m), 1
-    if w > target:  # gallop up until the half-width is at or below the target
-        lo, w_lo = m, w
-        while True:
-            if lo == _M_SEARCH_HI:
-                raise NoSolutionError(f"half-width {target:.4g} is below the n={2 * lo} minimum")
-            hi = min(lo + step, _M_SEARCH_HI)
-            w_hi = half_width(hi)
-            if w_hi <= target:
-                break
-            lo, w_lo, step = hi, w_hi, 2 * step
-    else:  # gallop down until the half-width is above the target
-        hi, w_hi = m, w
-        while True:
-            if hi == _M_SEARCH_LO:
-                if w_hi < target:
-                    raise NoSolutionError(f"half-width {target:.4g} exceeds the n={2 * hi} maximum")
-                return 2 * hi  # the n = 4 half-width equals the target
-            lo = max(hi - step, _M_SEARCH_LO)
-            w_lo = half_width(lo)
-            if w_lo > target:
-                break
-            hi, w_hi, step = lo, w_lo, 2 * step
+    lo, hi, step = m, m, 1
+    w_lo = w_hi = half_width(m)
+    while w_hi > target:  # gallop up until the half-width is at or below the target
+        if hi == _M_SEARCH_HI:
+            raise NoSolutionError(f"half-width {target:.4g} is below the n={2 * hi} minimum")
+        lo, w_lo, hi, step = hi, w_hi, min(hi + step, _M_SEARCH_HI), 2 * step
+        w_hi = half_width(hi)
+    while w_lo <= target:  # gallop down until the half-width is above the target
+        if lo == _M_SEARCH_LO:
+            if w_lo < target:
+                raise NoSolutionError(f"half-width {target:.4g} exceeds the n={2 * lo} maximum")
+            return 2 * lo  # the n = 4 half-width equals the target
+        hi, w_hi, lo, step = lo, w_lo, max(lo - step, _M_SEARCH_LO), 2 * step
+        w_lo = half_width(lo)
     while hi - lo > 1:
         mid = (lo + hi) // 2
         w_mid = half_width(mid)

@@ -14,13 +14,12 @@ export.
 from __future__ import annotations
 
 import math
-from collections import Counter
 from dataclasses import dataclass
 from typing import Sequence
 
 import numpy as np
 
-from .effect_size import _NON_FINITE_SD, _TINY_SD, EffectCategory, classify
+from .effect_size import _BANDS, _NON_FINITE_SD, _TINY_SD, EffectCategory, classify
 from .errors import DegenerateSampleError, DomainError, InsufficientDataError, PairingError
 from .stats_core import ContaminationSpec, SampleSummary
 
@@ -308,11 +307,16 @@ def run_simulation(config: SimulationConfig, workers: int = 1) -> SimulationBatc
 
 
 def tabulate_categories(batch: SimulationBatch) -> dict[EffectCategory, float]:
-    """Fraction of experiments per effect category; fractions sum to 1."""
-    if not batch.d.size:
+    """Fraction of experiments per effect category, each d binned as ``classify``
+    bins it by ``_BANDS``; fractions sum to 1."""
+    d = batch.d
+    if not d.size:
         raise InsufficientDataError("cannot tabulate an empty batch")
-    counts = Counter(map(classify, batch.d.tolist()))
-    return {cat: counts.get(cat, 0) / batch.d.size for cat in EffectCategory}
+    if not np.isfinite(d).all():
+        classify(float(d[~np.isfinite(d)][0]))  # raises its DomainError
+    band = np.searchsorted(_BANDS, np.abs(d))
+    counts = np.bincount(3 + np.where(d > 0, band, -band), minlength=7).tolist()
+    return {cat: count / d.size for cat, count in zip(EffectCategory, counts)}
 
 
 def pair_replications(batch: SimulationBatch, stream: RandomStream) -> np.ndarray:

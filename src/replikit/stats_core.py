@@ -1,5 +1,6 @@
 """Numeric substrate in pure Python: sample summaries, the contamination
-spec, and Student-t / normal quantiles.
+spec, Student-t / normal quantiles, and ``_square``, the one overflow-safe
+float square behind d's pooled sd, the prediction half-width and Cochran's Q.
 
 The t distribution is evaluated through the regularized incomplete beta
 function (continued fraction), so the package needs no external statistics
@@ -14,6 +15,16 @@ import math
 from dataclasses import dataclass
 
 from .errors import ConvergenceError, DomainError, InsufficientDataError
+
+
+def _square(x: float) -> float:
+    """``x**2``, or inf where float ``**`` raises OverflowError and numpy would
+    give inf; the same libm pow either way, so a finite square keeps its bits."""
+    try:
+        return x**2
+    except OverflowError:
+        return math.inf
+
 
 # ---------------------------------------------------------------------------
 # Sample summaries

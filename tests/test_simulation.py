@@ -2,9 +2,12 @@
 
 import math
 import threading
+from collections import Counter
 
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from replikit import (
     ContaminationSpec,
@@ -20,6 +23,7 @@ from replikit import (
     tabulate_categories,
     tabulate_sign_agreement,
 )
+from replikit.effect_size import classify
 from replikit.simulation import (
     MAX_N_PER_ARM,
     SimulationBatch,
@@ -193,6 +197,38 @@ def test_single_null_experiment_is_all_none_category():
 def test_tabulate_empty_batch_rejected():
     with pytest.raises(InsufficientDataError):
         tabulate_categories(run_simulation(small_config(runs=0)))
+
+
+def per_run_categories(d):
+    """The tabulation as one ``classify`` call per run: the reference."""
+    counts = Counter(map(classify, d))
+    return {cat: counts.get(cat, 0) / len(d) for cat in EffectCategory}
+
+
+# The band edges, zero of both signs, and the doubles either side of each.
+EDGES = [s * b for b in (0.0, 0.2, 0.5, 0.8) for s in (1.0, -1.0)]
+edge_values = st.sampled_from(
+    [x for b in EDGES for x in (math.nextafter(b, -math.inf), b, math.nextafter(b, math.inf))]
+)
+d_values_near_edges = st.one_of(
+    edge_values, st.floats(-2.0, 2.0), st.floats(allow_nan=False, allow_infinity=False)
+)
+
+
+@given(d=st.lists(d_values_near_edges, min_size=1, max_size=60))
+def test_tabulate_matches_per_run_classify(d):
+    batch = SimulationBatch(small_config(runs=2), np.array(d), np.ones(len(d)))
+    table = tabulate_categories(batch)
+    assert table == per_run_categories(d)
+    # Python floats, as the per-run path gives: a numpy scalar's repr differs.
+    assert {type(p) for p in table.values()} == {float}
+
+
+@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+def test_tabulate_non_finite_d_rejected(bad):
+    batch = SimulationBatch(small_config(runs=2), np.array([0.1, bad, 0.9]), np.ones(3))
+    with pytest.raises(DomainError, match=f"^d must be finite, got {bad}$"):
+        tabulate_categories(batch)
 
 
 # ---------------------------------------------------------------------------
