@@ -6,7 +6,7 @@ the output alone; in text mode the echo is commented header lines, in json
 it is a "config" key, and in csv/svg it goes to stderr.
 
 Exit codes: 0 success, 2 input/parse error, 3 domain/precondition error
-(out of memory included), 4 numeric non-convergence.
+(out of memory and integer overflow included), 4 numeric non-convergence.
 """
 
 from __future__ import annotations
@@ -306,6 +306,9 @@ def main(argv: Sequence[str] | None = None) -> int:
         return 2
     except MemoryError:
         print(f"{PROG}: error: out of memory", file=sys.stderr)
+        return 3
+    except OverflowError as exc:  # e.g. arm sizes whose sum has no float value
+        print(f"{PROG}: error: numeric overflow: {exc}", file=sys.stderr)
         return 3
 
 

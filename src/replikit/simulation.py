@@ -295,10 +295,10 @@ def run_simulation(config: SimulationConfig, workers: int = 1) -> SimulationBatc
     rows = max(1, _CHUNK_DRAWS // (2 * n))
     for start in range(0, config.runs, rows):
         stop = min(start + rows, config.runs)
-        z = draw_rows(config.master_seed, range(start, stop), 2 * n, config.contamination)
-        x, y = z[:, :n], z[:, n:]
         # Non-finite rows are rejected by the kernel, not warned about.
         with np.errstate(all="ignore"):
+            z = draw_rows(config.master_seed, range(start, stop), 2 * n, config.contamination)
+            x, y = z[:, :n], z[:, n:]
             x += config.true_effect_d
             d[start:stop], se[start:stop] = cohens_d_rows(
                 x.mean(axis=1), x.std(axis=1, ddof=1), y.mean(axis=1), y.std(axis=1, ddof=1), n, n

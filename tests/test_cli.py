@@ -300,6 +300,30 @@ def test_pi_replication_arm_size_that_is_not_a_float_exits_2(size, capsys):
     assert "argument --rep-n1: " in capsys.readouterr().err
 
 
+FLOAT_MAX_INT = str(int(1.7e308))  # has a float value; the sum of two has none
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["effect", "--n1", FLOAT_MAX_INT, "--mean1", "1", "--sd1", "1",
+         "--n2", FLOAT_MAX_INT, "--mean2", "0", "--sd2", "1"],
+        ["pi", "--d", "0.5", "--n1", FLOAT_MAX_INT, "--n2", FLOAT_MAX_INT,
+         "--rep-n1", "30", "--rep-n2", "30"],
+        ["pi", "--d", "0.5", "--n1", "30", "--n2", "30",
+         "--rep-n1", FLOAT_MAX_INT, "--rep-n2", FLOAT_MAX_INT],
+    ],
+    ids=["effect", "pi-original", "pi-replication"],
+)
+def test_arm_sizes_whose_sum_overflows_exit_3_with_one_line(argv, capsys):
+    assert main(argv) == 3
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == (
+        "replikit: error: numeric overflow: int too large to convert to float\n"
+    )
+
+
 def test_pi_tiny_arm_exits_3(capsys):
     assert main(["pi", "--d", "0.1", "--n1", "1", "--n2", "30",
                  "--rep-n1", "30", "--rep-n2", "30"]) == 3
@@ -336,6 +360,17 @@ def test_meta_text_output(study_file, capsys):
     assert "# studies 2" in out
     assert "pooled_d" in out
     assert "1.14" in out
+
+
+def test_meta_q_overflow_exits_3_with_one_line(tmp_path, capsys):
+    path = tmp_path / "studies.csv"
+    path.write_text(STUDY_HEADER + "\ns1,a,,,,,,,1e200,1\ns2,b,,,,,,,-1e200,1\n")
+    assert main(["meta", str(path)]) == 3
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == (
+        "replikit: error: pooled d, se or Q is not finite; the studies are too large to pool\n"
+    )
 
 
 def test_meta_json_output(study_file, capsys):

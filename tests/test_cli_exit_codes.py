@@ -166,6 +166,19 @@ study_bytes = weighted((3, study_text.map(str.encode)), (1, st.binary(max_size=6
                "--n2", "30", "--mean2", "0", "--sd2", "1"], content=b"")
 @example(argv=["pi", "--d", "0.5", "--n1", "30", "--n2", "30", "--rep-n1", str(10**400),
                "--rep-n2", "30"], content=b"")
+# Sizes that each have a float value but whose sum has none.
+@example(argv=["effect", "--n1", str(int(1.7e308)), "--mean1", "1", "--sd1", "1",
+               "--n2", str(int(1.7e308)), "--mean2", "0", "--sd2", "1"], content=b"")
+@example(argv=["pi", "--d", "0.5", "--n1", str(int(1.7e308)), "--n2", str(int(1.7e308)),
+               "--rep-n1", "30", "--rep-n2", "30"], content=b"")
+@example(argv=["pi", "--d", "0.5", "--n1", "30", "--n2", "30", "--rep-n1", str(int(1.7e308)),
+               "--rep-n2", str(int(1.7e308))], content=b"")
+# Contamination that overflows the draws; Q's square that float ``**`` cannot hold.
+@example(argv=["simulate", "--runs", "10", "--dist", "mixed", "--scale-mult", "1e308"],
+         content=b"")
+@example(argv=["meta", "studies.csv"],
+         content=b"study_id,label,n1,n2,mean1,mean2,sd1,sd2,d,se\n"
+                 b"s1,a,,,,,,,1e200,1\ns2,b,,,,,,,-1e200,1\n")
 @example(argv=["simulate", "--runs", str(2**64)], content=b"")
 @example(argv=["simulate", "--runs", str(2**62), "--n-per-arm", str(2**62)], content=b"")
 # Outputs that cannot be written, before a study file that pools and a batch.

@@ -88,6 +88,12 @@ def test_effects_too_large_to_pool_rejected(studies):
         fixed_effect_pool(studies)
 
 
+def test_q_square_that_float_power_cannot_hold_rejected():
+    # Pooled d is 0, so each deviation is 1e200, whose float ``**`` raises.
+    with pytest.raises(DomainError, match="the studies are too large to pool$"):
+        fixed_effect_pool([direct("a", 1e200, 1.0), direct("b", -1e200, 1.0)])
+
+
 @pytest.mark.parametrize("n1, n2", [(-5, 0), (30, 1), (1, 30)])
 def test_direct_form_arm_sizes_below_two_rejected(n1, n2):
     with pytest.raises(DomainError, match=">= 2"):
