@@ -74,7 +74,7 @@ def test_direct_se_at_the_bounds_pools_finitely():
 @pytest.mark.parametrize(
     "studies",
     [
-        # Q's squared deviation overflows.
+        # Each squared deviation is finite, but Q's sum of them overflows.
         [direct("a", 0.0, 1.0), direct("b", 0.0, 1.0), direct("c", 2.0e154, 1.0)],
         # w * d overflows, so pooled d is inf.
         [direct("a", 1e308, 2.0**-511)],
