@@ -2,8 +2,9 @@
 effect size, confirmation checks, and back-solving implied sample sizes.
 
 ``prediction_interval`` and ``back_solve_n`` share one half-width rule; the
-back-solve inverts it over even n by a search that starts at the normal
-approximation's n and gallops outward, so it asks for few t quantiles."""
+back-solve inverts it over even n by a search that starts at the n where the
+expansion of t about the normal quantile meets the target and gallops
+outward, so it asks for two t quantiles when that start is the answer."""
 
 from __future__ import annotations
 
@@ -12,7 +13,7 @@ from dataclasses import dataclass
 
 from .effect_size import EffectSize, Interval, standard_error_d
 from .errors import DomainError, InconsistentIntervalError, NoSolutionError
-from .stats_core import _square, normal_quantile, t_quantile
+from .stats_core import _square, _t_series, normal_quantile, t_quantile
 
 _CENTER_TOLERANCE = 0.05
 # back_solve_n searches per-arm sizes m, i.e. total n = 2m in [4, 1e7].
@@ -74,12 +75,18 @@ def back_solve_n(d_orig: float, interval: Interval) -> int:
     and returns the even n in [4, 1e7] whose half-width is nearest the
     target. The interval must be symmetric about ``d_orig`` to within 0.05.
 
-    The search starts at m* = 2 z^2 (2 + d^2/4) / target^2, where the normal
-    approximation z * sqrt(2) * se meets the target. t > z at every df, so
-    the answer is at or just above m*: steps of 1, 2, 4, ... from m* bracket
-    the target and bisection narrows the bracket to adjacent m. The
-    half-width decreases in m, so this ends on the same pair as bisecting all
-    of [2, 5e6], and asks for a large df only when the answer is that large.
+    The search starts at the nearest m to the root of m = 2 t(z, 2m - 2)^2
+    (2 + d^2/4) / target^2, with z the normal quantile and t(z, df)
+    ``_t_series``. The root lies between m* = 2 z^2 (2 + d^2/4) / target^2,
+    where the normal approximation z * sqrt(2) * se meets the target, and one
+    fixed-point step from m*; bisection on the series, which asks for no t
+    quantile, finds it to within 1/8. For an interval that
+    ``prediction_interval`` made from equal arms, the start is the answer,
+    and one more half-width brackets it. Otherwise
+    steps of 1, 2, 4, ... from the start bracket the target and bisection
+    narrows the bracket to adjacent m. The half-width decreases in m, so
+    from any start this ends on the same pair as bisecting all of [2, 5e6],
+    and asks for a large df only when the answer is that large.
     """
     # An interval with both ends infinite has a nan centre, which lies near no d.
     if math.isnan(interval.midpoint) or abs(interval.midpoint - d_orig) > _CENTER_TOLERANCE:
@@ -94,9 +101,26 @@ def back_solve_n(d_orig: float, interval: Interval) -> int:
         return _half_width(se, se, 2 * m - 2, interval.level)
 
     # A nan m* (nan d, or 0 * inf) starts at the top end, like an infinite one.
-    r = normal_quantile((1.0 + interval.level) / 2.0) / target if target > 0 else math.inf
-    m_est = 2.0 * (2.0 + d_orig * d_orig / 4.0) * r * r
-    m = _M_SEARCH_HI if not m_est < _M_SEARCH_HI else max(_M_SEARCH_LO, int(m_est))
+    z = normal_quantile((1.0 + interval.level) / 2.0)
+    c = 2.0 * (2.0 + d_orig * d_orig / 4.0)
+    r = z / target if target > 0 else math.inf
+    m_est = c * r * r
+    if _M_SEARCH_LO < m_est < _M_SEARCH_HI:
+
+        def m_at(m: float) -> float:  # the m whose half-width at t(z, 2m - 2) is the target
+            r = _t_series(z, 2.0 * m - 2.0) / target
+            return c * r * r
+
+        # t falls as df grows, so m - m_at(m) rises from m* to m_at(m*).
+        below, above = m_est, min(m_at(m_est), _M_SEARCH_HI)
+        while above - below > 0.25:
+            mid = 0.5 * (below + above)
+            if mid < m_at(mid):
+                below = mid
+            else:
+                above = mid
+        m_est = 0.5 * (below + above)
+    m = _M_SEARCH_HI if not m_est < _M_SEARCH_HI else max(_M_SEARCH_LO, round(m_est))
     lo, hi, step = m, m, 1
     w_lo = w_hi = half_width(m)
     while w_hi > target:  # gallop up until the half-width is at or below the target

@@ -248,6 +248,17 @@ class SimulationBatch:
             column.flags.writeable = False
             object.__setattr__(self, name, column)
 
+    @classmethod
+    def _of_columns(cls, config: SimulationConfig, d: np.ndarray, se: np.ndarray) -> SimulationBatch:
+        """A batch that keeps ``run_simulation``'s own float64 columns, made
+        read-only in place: no caller holds them, so no copy is needed."""
+        d.flags.writeable = se.flags.writeable = False
+        batch = object.__new__(cls)
+        object.__setattr__(batch, "config", config)
+        object.__setattr__(batch, "d", d)
+        object.__setattr__(batch, "se", se)
+        return batch
+
 
 @dataclass(frozen=True)
 class SignAgreementTable:
@@ -300,10 +311,27 @@ def run_simulation(config: SimulationConfig, workers: int = 1) -> SimulationBatc
             z = draw_rows(config.master_seed, range(start, stop), 2 * n, config.contamination)
             x, y = z[:, :n], z[:, n:]
             x += config.true_effect_d
-            d[start:stop], se[start:stop] = cohens_d_rows(
-                x.mean(axis=1), x.std(axis=1, ddof=1), y.mean(axis=1), y.std(axis=1, ddof=1), n, n
-            )
-    return SimulationBatch(config, d, se)
+            try:
+                d[start:stop], se[start:stop] = cohens_d_rows(
+                    x.mean(axis=1), x.std(axis=1, ddof=1), y.mean(axis=1), y.std(axis=1, ddof=1), n, n
+                )
+            except DomainError:
+                _check_contaminated_draws(config, start, stop)
+                raise
+    return SimulationBatch._of_columns(config, d, se)
+
+
+def _check_contaminated_draws(config: SimulationConfig, start: int, stop: int) -> None:
+    # Only a chunk the kernel rejected gets here, so a passing batch pays for
+    # no second look. The effect shift was added in place, so the draws are
+    # made again to tell scale_mult's overflow from the effect's.
+    spec = config.contamination
+    if spec is not None:
+        z = draw_rows(config.master_seed, range(start, stop), 2 * config.n_per_arm, spec)
+        if not np.isfinite(z).all():
+            raise DomainError(
+                f"scale_mult {spec.scale_mult!r} overflows a contaminated draw to infinity"
+            ) from None
 
 
 def tabulate_categories(batch: SimulationBatch) -> dict[EffectCategory, float]:

@@ -3,8 +3,10 @@ spec, Student-t / normal quantiles, and ``_square``, the one overflow-safe
 float square behind d's pooled sd, the prediction half-width and Cochran's Q.
 
 The t distribution is evaluated through the regularized incomplete beta
-function (continued fraction), so the package needs no external statistics
-dependency and the quantile can be checked against an integration oracle.
+function (continued fraction), and its quantile from df 1e6 on through the
+expansion about the normal quantile, so the package needs no external
+statistics dependency and the quantile can be checked against an
+integration oracle.
 Nothing here imports numpy; the random streams and draws live with the
 engine in ``replikit.simulation``.
 """
@@ -196,11 +198,32 @@ def normal_quantile(p: float) -> float:
     return x - u / (1.0 + x * u / 2.0)
 
 
+def _t_series(z: float, df: float) -> float:
+    """The t quantile at the normal quantile ``z``, from the first four terms in
+    1/df of its expansion about z (Abramowitz & Stegun 26.7.5).
+
+    The first omitted term is O(z^11 / df^5). For p up to 1 - 1e-12 (z up to
+    7.04) its relative error is below 1e-3 at df 30, 3e-6 at df 100, 2e-8 at
+    df 300, 5e-11 at df 1000 and 2e-13 at df 3000, and from df 1e4 on it is
+    rounding alone, below 1e-15. So it is a start for Newton steps at
+    moderate df and, from df 1e6 on, the quantile itself.
+    """
+    z2 = z * z
+    g1 = (z2 + 1.0) * z / 4.0
+    g2 = ((5.0 * z2 + 16.0) * z2 + 3.0) * z / 96.0
+    g3 = (((3.0 * z2 + 19.0) * z2 + 17.0) * z2 - 15.0) * z / 384.0
+    g4 = ((((79.0 * z2 + 776.0) * z2 + 1482.0) * z2 - 1920.0) * z2 - 945.0) * z / 92160.0
+    return z + (g1 + (g2 + (g3 + g4 / df) / df) / df) / df
+
+
 _T_QUANTILE_TOL = 1e-13
 _T_QUANTILE_MAX_ITER = 200
-# At large df the CDF carries rounding noise near 1e-10, above the tolerance,
+# From this df on, t_quantile is the series about the normal quantile, whose
+# omitted terms are far below rounding there. Below it the CDF still
+# carries rounding noise up to about 1e-10 near df 1e6, above the tolerance,
 # and Newton steps can wander inside the bracket without shrinking it; after
 # this many steps the refinement bisects, which halves the bracket each step.
+_T_SERIES_MIN_DF = 1e6
 _T_QUANTILE_NEWTON_ITER = 50
 
 
@@ -219,10 +242,12 @@ def t_quantile(p: float, df: float) -> float:
     float
         x such that ``t_cdf(x, df) == p`` to within 1e-10 or better.
 
-    Solved by a safeguarded Newton iteration on the CDF inside a bisection
-    bracket, started from the normal quantile, and by bisection alone after
-    50 steps. Antisymmetry ``t_quantile(1 - p, df) == -t_quantile(p, df)``
-    holds exactly.
+    Below df 1e6, solved by a safeguarded Newton iteration on the CDF inside
+    a bisection bracket, started from the normal quantile, and by bisection
+    alone after 50 steps. From df 1e6 on, where the CDF's rounding noise
+    would exceed the tolerance, it is ``_t_series`` at the normal quantile,
+    as accurate as ``normal_quantile`` itself. Antisymmetry
+    ``t_quantile(1 - p, df) == -t_quantile(p, df)`` holds exactly.
     """
     if not 0.0 < p < 1.0:
         raise DomainError(f"p must be in (0, 1), got {p}")
@@ -232,6 +257,8 @@ def t_quantile(p: float, df: float) -> float:
         return 0.0
     if p < 0.5:
         return -t_quantile(1.0 - p, df)
+    if df >= _T_SERIES_MIN_DF:
+        return _t_series(normal_quantile(p), df)
 
     # Bracket [lo, hi] with F(lo) < p <= F(hi), lo >= 0.
     lo = 0.0

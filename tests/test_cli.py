@@ -9,7 +9,7 @@ from pathlib import Path
 
 import pytest
 
-from replikit import cli
+from replikit import cli, standard_error_d
 from replikit.cli import main
 
 SRC = str(Path(cli.__file__).resolve().parents[1])
@@ -229,6 +229,19 @@ def test_simulate_non_finite_experiment_exits_3_with_one_line(effect, capsys):
     assert [str(w.message) for w in caught] == []
 
 
+def test_simulate_overflowing_scale_mult_names_it(capsys):
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        rc = main(["simulate", "--runs", "10", "--dist", "mixed", "--scale-mult", "1e308"])
+    captured = capsys.readouterr()
+    assert rc == 3
+    assert captured.out == ""
+    assert captured.err == (
+        "replikit: error: scale_mult 1e+308 overflows a contaminated draw to infinity\n"
+    )
+    assert [str(w.message) for w in caught] == []
+
+
 def test_simulate_out_of_memory_exits_3_with_one_line(monkeypatch, capsys):
     def exhausted(*args, **kwargs):
         raise MemoryError
@@ -322,6 +335,22 @@ def test_arm_sizes_whose_sum_overflows_exit_3_with_one_line(argv, capsys):
     assert captured.err == (
         "replikit: error: numeric overflow: int too large to convert to float\n"
     )
+
+
+@pytest.mark.parametrize("size", [2**62, int(5e299)], ids=["2^62", "5e299"])
+def test_pi_at_a_df_beyond_the_cdf_iteration_is_the_normal_limit(size, capsys):
+    # df = 2^63 - 2 printed -7.89 / 8.89 with exit 0, and df 1e300 exited 4.
+    # Here the original's se is negligible and t is the normal quantile, so
+    # the half-width is z_0.975 * se_rep.
+    argv = ["pi", "--d", "0.5", "--n1", str(size), "--n2", str(size),
+            "--rep-n1", "30", "--rep-n2", "30"]
+    assert main(argv) == 0
+    assert capsys.readouterr().out.splitlines()[-2:] == ["pi_lower  -0.01391", "pi_upper  1.014"]
+    assert main(argv + ["--format", "json"]) == 0
+    data = json.loads(capsys.readouterr().out)
+    half = 1.959963984540054 * standard_error_d(0.5, 30, 30)
+    assert abs(data["pi_lower"] - (0.5 - half)) <= 1e-15
+    assert abs(data["pi_upper"] - (0.5 + half)) <= 1e-15
 
 
 def test_pi_tiny_arm_exits_3(capsys):

@@ -205,7 +205,8 @@ def test_back_solve_near_a_fractional_df_without_a_quantile():
     assert_nearest_even(d, interval, n)
 
 
-def test_back_solve_t_quantile_calls(monkeypatch):
+def count_t_quantile_calls(monkeypatch):
+    """The dfs of every ``t_quantile`` call ``prediction`` makes from here on."""
     calls = []
 
     def counted(p, df):
@@ -213,21 +214,41 @@ def test_back_solve_t_quantile_calls(monkeypatch):
         return t_quantile(p, df)
 
     monkeypatch.setattr(prediction, "t_quantile", counted)
+    return calls
+
+
+PAPER_ROWS = [(0.101, Interval(-0.33, 0.53, 0.95)), (-0.176, Interval(-0.84, 0.48, 0.95)),
+              (1.430, Interval(0.05, 2.76, 0.95))]
+
+
+def test_back_solve_t_quantile_calls(monkeypatch):
+    # The series start lands on the answer for every interval that
+    # prediction_interval makes from equal arms, so the answer's half-width
+    # and one neighbour's bracket the target: two quantiles, all of whole df.
     rng = np.random.default_rng(3)
-    grid = [(0.101, Interval(-0.33, 0.53, 0.95)), (-0.176, Interval(-0.84, 0.48, 0.95)),
-            (1.430, Interval(0.05, 2.76, 0.95))]
-    for _ in range(10):
-        d = float(rng.uniform(-1.5, 1.5))
-        n = 2 * int(rng.integers(5, 401))
-        grid.append((d, prediction_interval(equal_arm_design(d, n, n))))
-    counts = []
-    for d, interval in grid:
+    grid = [(d, interval, None) for d, interval in PAPER_ROWS]
+    for level in (0.8, 0.9, 0.95, 0.99):
+        for n in range(10, 801, 2):
+            for d in (-1.5, float(rng.uniform(-1.5, 1.5))):
+                grid.append((d, prediction_interval(equal_arm_design(d, n, n, level)), n))
+    calls = count_t_quantile_calls(monkeypatch)
+    for d, interval, n in grid:
         calls.clear()
-        back_solve_n(d, interval)
-        counts.append(len(calls))
-        assert len(calls) <= 8
+        got = back_solve_n(d, interval)
+        assert len(calls) == 2, (d, interval, calls)
         assert all(df == int(df) for df in calls)
-    assert np.mean(counts) <= 5
+        assert n is None or got == n
+
+
+def test_back_solve_t_quantile_calls_over_the_equivalence_cases(monkeypatch):
+    # 2.30 a back-solve when the search started at the normal-approximation n.
+    calls = count_t_quantile_calls(monkeypatch)
+    counts = []
+    for d, interval in equivalence_cases():
+        calls.clear()
+        outcome(back_solve_n, d, interval)
+        counts.append(len(calls))
+    assert np.mean(counts) <= 1.7
 
 
 def equal_arm_half_width(d, m, level):

@@ -2,6 +2,7 @@
 
 import math
 import threading
+import tracemalloc
 from collections import Counter
 
 import numpy as np
@@ -111,6 +112,33 @@ def test_batch_columns_are_read_only():
             column[0] = 1.0
     with pytest.raises(ValueError):
         run_simulation(small_config(runs=2)).d[0] = 1.0
+
+
+def test_public_batch_copies_and_leaves_the_callers_arrays_as_they_were():
+    d, se = np.array([0.1, -0.2]), np.array([0.26, 0.26])
+    frozen = np.array([0.3, 0.4])
+    frozen.flags.writeable = False
+    for batch in (SimulationBatch(small_config(runs=2), d, se),
+                  SimulationBatch(small_config(runs=2), frozen, frozen)):
+        assert not np.shares_memory(batch.d, d) and not np.shares_memory(batch.d, frozen)
+        assert not np.shares_memory(batch.se, se) and not np.shares_memory(batch.se, frozen)
+    assert d.flags.writeable and se.flags.writeable and not frozen.flags.writeable
+
+
+def test_run_simulation_keeps_its_columns_without_a_copy(monkeypatch):
+    # Small chunks, so the columns dominate the traced peak: two columns
+    # without a copy, four with one.
+    monkeypatch.setattr("replikit.simulation._CHUNK_DRAWS", 2**10)
+    cfg = small_config(runs=20_000, n_per_arm=2)
+    run_simulation(small_config(runs=2, n_per_arm=2))
+    tracemalloc.start()
+    try:
+        batch = run_simulation(cfg)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 3 * batch.d.nbytes
+    assert not batch.d.flags.writeable and not batch.se.flags.writeable
 
 
 def test_run_simulation_deterministic():

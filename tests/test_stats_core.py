@@ -4,13 +4,15 @@ The random streams, draw kernels and ``summarize`` live in
 ``replikit.simulation`` (they need numpy) and are tested here with the rest
 of the substrate. Special functions are checked against two independent routes: scipy
 (betainc / t.cdf / t.ppf / norm.ppf) and, for the quantile, a quadrature
-plus root-finding oracle built from the textbook density. All frozen
+plus root-finding oracle built from the textbook density; at large df the
+quantile's oracle is an mpmath CDF residual. All frozen
 tolerances were set from measured deviations with a 10-100x safety factor.
 """
 
 import math
 import random
 
+import mpmath
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -34,7 +36,7 @@ from replikit.simulation import (
     draw_rows,
     summarize,
 )
-from replikit.stats_core import regularized_incomplete_beta, t_cdf, t_pdf
+from replikit.stats_core import _t_series, regularized_incomplete_beta, t_cdf, t_pdf
 
 
 # ---------------------------------------------------------------------------
@@ -286,12 +288,63 @@ def test_t_quantile_against_scipy():
 @pytest.mark.parametrize(
     "p, df",
     [(0.8311313375438745, 9655758), (0.8553283354954868, 5000000), (0.8388154337544579, 9999998),
-     (0.8543014071977832, 2500000), (0.7563413887883188, 1250000)],
+     (0.8543014071977832, 2500000), (0.7563413887883188, 1250000),
+     (0.7299947834741509, 547962), (0.5230485802352529, 379582)],
 )
 def test_t_quantile_converges_through_cdf_noise_at_large_df(p, df):
     # The CDF's rounding noise here exceeds the 1e-13 tolerance, and Newton
     # alone wandered inside its bracket until the step cap (ConvergenceError).
+    # From df 1e6 on the quantile is the series; the last two cases, below
+    # it, still take about 100 CDF steps and end by bisection.
     assert abs(t_quantile(p, df) - stats.t.ppf(p, df)) <= 1e-7 * stats.t.ppf(p, df)
+
+
+def t_quantile_rel_error(x, p, df):
+    """Relative error of x as the t quantile at p > 1/2: the CDF residual at x
+    over density times x, in mpmath. F = 1/2 + I_y(1/2, df/2)/2 with
+    y = x^2/(df + x^2) does not cancel near the median, and the working
+    precision grows with log10(df), so the log-gamma difference of the
+    density stays exact up to df 1e300. scipy's own ``t.ppf`` is not the
+    oracle here: near the median it is off by up to 2.8e-11 at df 1e9."""
+    with mpmath.workdps(30 + int(math.log10(df))):
+        x, df = mpmath.mpf(x), mpmath.mpf(df)
+        y = x * x / (df + x * x)
+        cdf = 0.5 + mpmath.betainc(0.5, df / 2, 0, y, regularized=True) / 2
+        ln_pdf = (mpmath.loggamma((df + 1) / 2) - mpmath.loggamma(df / 2)
+                  - mpmath.log(df * mpmath.pi) / 2 - (df + 1) / 2 * mpmath.log1p(x * x / df))
+        return float(abs(cdf - mpmath.mpf(p)) / (mpmath.exp(ln_pdf) * x))
+
+
+# p from 1/2 + 1e-6 to 1 - 1e-12, log-spaced toward both ends.
+P_GRID = [0.5 + h for h in np.logspace(-6, math.log10(0.49), 25)] + [
+    1.0 - q for q in np.logspace(-2, -12, 25)
+]
+
+
+@pytest.mark.parametrize(
+    "df, bound",
+    [(30, 1e-3), (100, 3e-6), (300, 2e-8), (1000, 5e-11), (3000, 2e-13),
+     (1e4, 1e-15), (1e6, 1e-15), (1e9, 1e-15), (2.0**63, 1e-15), (1e300, 1e-15)],
+)
+def test_t_series_known_answers(df, bound):
+    # The accuracy ``_t_series`` states, for a Newton start to rely on: the
+    # four-term truncation error down to df 3000, rounding alone from 1e4 on.
+    # z is scipy's norm.ppf, so only the series' own error shows.
+    worst = max(t_quantile_rel_error(_t_series(stats.norm.ppf(p), df), p, df) for p in P_GRID)
+    assert worst <= bound, worst
+
+
+@pytest.mark.parametrize("df", [1e6, 1e9, 1e13, 1e16, 2.0**63, 1e300])
+def test_t_quantile_large_df_is_as_accurate_as_the_normal_quantile(df):
+    for p in P_GRID:
+        z = stats.norm.ppf(p)
+        normal_error = abs(normal_quantile(p) - z) / z
+        # d ln t / d ln z = 1 + z^2/(2 df) + ..., below 1 + 3e-5 from df 1e6 on.
+        bound = normal_error * (1.0 + 1e-4) + 1e-15
+        assert t_quantile_rel_error(t_quantile(p, df), p, df) <= bound, p
+    # At the p every default interval uses, it is within 2.3e-16 of scipy too.
+    ref = stats.t.ppf(0.975, df)
+    assert abs(t_quantile(0.975, df) - ref) <= 2.3e-16 * ref
 
 
 def test_t_quantile_domain():
