@@ -52,6 +52,9 @@ def _add_common(parser: argparse.ArgumentParser, default_format: str = "text") -
         default=default_format,
         help=f"output format (default {default_format})",
     )
+
+
+def _add_level(parser: argparse.ArgumentParser) -> None:
     parser.add_argument(
         "--level", type=float, default=0.95, help="confidence/prediction level (default 0.95)"
     )
@@ -78,6 +81,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("effect", help="two-arm summaries -> d, se, CI, category")
     _add_common(p)
+    _add_level(p)
     p.add_argument("--n1", type=_arm_size, required=True)
     p.add_argument("--mean1", type=float, required=True)
     p.add_argument("--sd1", type=float, required=True)
@@ -105,6 +109,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("pi", help="original study + replication sizes -> prediction interval")
     _add_common(p)
+    _add_level(p)
     p.add_argument("--d", type=float, required=True, help="original effect size")
     p.add_argument("--n1", type=_arm_size, required=True, help="original arm 1 size")
     p.add_argument("--n2", type=_arm_size, required=True, help="original arm 2 size")
@@ -116,12 +121,14 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("meta", help="study CSV -> pooled effect + heterogeneity")
     _add_common(p)
+    _add_level(p)
     p.add_argument("path", help="study CSV file")
     p.set_defaults(handler=_cmd_meta)
 
     for name, render in (("forest", render_forest_svg), ("funnel", render_funnel_svg)):
         p = sub.add_parser(name, help=f"study CSV -> {name} plot SVG")
         _add_common(p, default_format="svg")
+        _add_level(p)
         p.add_argument("path", help="study CSV file")
         p.add_argument("--output", metavar="PATH", help="write SVG here instead of stdout")
         p.set_defaults(handler=_cmd_plot, render=render)

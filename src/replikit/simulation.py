@@ -19,8 +19,8 @@ from typing import Sequence
 
 import numpy as np
 
-from .effect_size import _BANDS, _NON_FINITE_SD, _TINY_SD, EffectCategory, classify
-from .errors import DegenerateSampleError, DomainError, InsufficientDataError, PairingError
+from .effect_size import _BANDS, _TINY_SD, EffectCategory, classify, cohens_d
+from .errors import DomainError, InsufficientDataError, PairingError
 from .stats_core import ContaminationSpec, SampleSummary
 
 _UINT64_MAX = 2**64 - 1
@@ -175,30 +175,31 @@ def cohens_d_rows(
     mean1: np.ndarray, sd1: np.ndarray, mean2: np.ndarray, sd2: np.ndarray, n1: int, n2: int
 ) -> tuple[np.ndarray, np.ndarray]:
     """Row-wise ``cohens_d`` (no Hedges correction) as (d, se) arrays, each row
-    bit-identical to the scalar path and rejected with the error it raises.
+    bit-identical to the scalar path.
 
-    The scalar ``cohens_d`` stays a separate kernel because ``effect``, ``meta``,
-    ``forest`` and ``funnel`` run without numpy.
+    A row whose pooled sd or se is not finite, which every zero pooled sd,
+    overflowing d and non-finite mean or sd gives, is rejected by handing the
+    first such row to ``cohens_d``, so it raises the scalar path's error.
+    The scalar ``cohens_d`` stays a separate kernel because ``effect``,
+    ``meta``, ``forest`` and ``funnel`` run without numpy.
     """
-    if not all(np.isfinite(a).all() for a in (mean1, sd1, mean2, sd2)):
-        raise DomainError("mean and sd must be finite")
-    # np.float_power is libm pow, like the scalar ``sd**2``; numpy's ``sd**2``
-    # is sd*sd, which differs in the last bit for about 0.1 % of values.
-    sd_max = np.maximum(sd1, sd2)
-    scale = np.where(sd_max < _TINY_SD, np.frexp(sd_max)[1], 0)
-    sd1, sd2 = np.ldexp(sd1, -scale), np.ldexp(sd2, -scale)
-    with np.errstate(over="ignore"):
-        var_sum = (n1 - 1) * np.float_power(sd1, 2.0) + (n2 - 1) * np.float_power(sd2, 2.0)
-    sp = np.ldexp(np.sqrt(var_sum / (n1 + n2 - 2)), scale)
-    if not np.isfinite(sp).all():
-        raise DomainError(_NON_FINITE_SD)
-    if not sp.all():
-        raise DegenerateSampleError("pooled standard deviation is zero; d undefined")
-    d = (mean1 - mean2) / sp
-    n = n1 + n2
-    se = np.sqrt(n / (n1 * n2) + d * d / (2.0 * n))
-    if not (np.isfinite(d).all() and np.isfinite(se).all()):
-        raise DomainError("d and se must be finite")
+    with np.errstate(all="ignore"):
+        sd_max = np.maximum(sd1, sd2)
+        scale = np.where(sd_max < _TINY_SD, np.frexp(sd_max)[1], 0)
+        sd1_s, sd2_s = np.ldexp(sd1, -scale), np.ldexp(sd2, -scale)
+        # np.float_power is libm pow, like the scalar ``sd**2``; numpy's ``sd**2``
+        # is sd*sd, which differs in the last bit for about 0.1 % of values.
+        var_sum = (n1 - 1) * np.float_power(sd1_s, 2.0) + (n2 - 1) * np.float_power(sd2_s, 2.0)
+        sp = np.ldexp(np.sqrt(var_sum / (n1 + n2 - 2)), scale)
+        d = (mean1 - mean2) / sp
+        n = n1 + n2
+        se = np.sqrt(n / (n1 * n2) + d * d / (2.0 * n))
+    bad = ~(np.isfinite(sp) & np.isfinite(se))
+    if bad.any():
+        i = int(bad.argmax())
+        cohens_d(SampleSummary(n1, float(mean1[i]), float(sd1[i])),
+                 SampleSummary(n2, float(mean2[i]), float(sd2[i])))
+        raise DomainError("d and se must be finite")  # a guard: cohens_d raises on such a row
     return d, se
 
 

@@ -3,7 +3,7 @@ spec, Student-t / normal quantiles, and ``_square``, the one overflow-safe
 float square behind d's pooled sd, the prediction half-width and Cochran's Q.
 
 The t distribution is evaluated through the regularized incomplete beta
-function (continued fraction), and its quantile from df 1e6 on through the
+function (continued fraction), and its quantile from df 1e4 on through the
 expansion about the normal quantile, so the package needs no external
 statistics dependency and the quantile can be checked against an
 integration oracle.
@@ -205,8 +205,7 @@ def _t_series(z: float, df: float) -> float:
     The first omitted term is O(z^11 / df^5). For p up to 1 - 1e-12 (z up to
     7.04) its relative error is below 1e-3 at df 30, 3e-6 at df 100, 2e-8 at
     df 300, 5e-11 at df 1000 and 2e-13 at df 3000, and from df 1e4 on it is
-    rounding alone, below 1e-15. So it is a start for Newton steps at
-    moderate df and, from df 1e6 on, the quantile itself.
+    rounding alone, below 1e-15, so from df 1e4 on it is the quantile itself.
     """
     z2 = z * z
     g1 = (z2 + 1.0) * z / 4.0
@@ -219,11 +218,12 @@ def _t_series(z: float, df: float) -> float:
 _T_QUANTILE_TOL = 1e-13
 _T_QUANTILE_MAX_ITER = 200
 # From this df on, t_quantile is the series about the normal quantile, whose
-# omitted terms are far below rounding there. Below it the CDF still
-# carries rounding noise up to about 1e-10 near df 1e6, above the tolerance,
-# and Newton steps can wander inside the bracket without shrinking it; after
-# this many steps the refinement bisects, which halves the bracket each step.
-_T_SERIES_MIN_DF = 1e6
+# omitted terms are below rounding there; the CDF's rounding noise grows with
+# df (about 1e-10 near df 1e6). Below it, where that noise can still exceed
+# the tolerance, Newton steps can wander inside the bracket without shrinking
+# it; after this many steps the refinement bisects, which halves the bracket
+# each step.
+_T_SERIES_MIN_DF = 1e4
 _T_QUANTILE_NEWTON_ITER = 50
 
 
@@ -242,11 +242,12 @@ def t_quantile(p: float, df: float) -> float:
     float
         x such that ``t_cdf(x, df) == p`` to within 1e-10 or better.
 
-    Below df 1e6, solved by a safeguarded Newton iteration on the CDF inside
+    Below df 1e4, solved by a safeguarded Newton iteration on the CDF inside
     a bisection bracket, started from the normal quantile, and by bisection
-    alone after 50 steps. From df 1e6 on, where the CDF's rounding noise
-    would exceed the tolerance, it is ``_t_series`` at the normal quantile,
-    as accurate as ``normal_quantile`` itself. Antisymmetry
+    alone after 50 steps. From df 1e4 on, where ``_t_series``' truncation
+    error is below rounding and the CDF's rounding noise grows toward the
+    tolerance, it is ``_t_series`` at the normal quantile, as accurate as
+    ``normal_quantile`` itself. Antisymmetry
     ``t_quantile(1 - p, df) == -t_quantile(p, df)`` holds exactly.
     """
     if not 0.0 < p < 1.0:

@@ -643,9 +643,14 @@ def test_funnel_deterministic_across_calls(study_file, capsys):
 # argument surface
 # ---------------------------------------------------------------------------
 
-def test_unknown_flag_exits_2(capsys):
-    assert main(EFFECT_ARGS + ["--nope"]) == 2
-    capsys.readouterr()
+@pytest.mark.parametrize(
+    "argv",
+    # simulate reads no level, so it has no --level to ignore
+    [EFFECT_ARGS + ["--nope"], ["simulate", "--runs", "10", "--level", "0.5"]],
+)
+def test_unknown_flag_exits_2(argv, capsys):
+    assert main(argv) == 2
+    assert "unrecognized arguments" in capsys.readouterr().err
 
 
 SIMULATE_ARGS = ["simulate", "--runs", "10", "--dist", "mixed"]

@@ -80,8 +80,10 @@ def option(name, values):
     return st.one_of(st.just([]), required(name, values))
 
 
-def command(name, *options, formats=table_formats):
-    common = [option("--seed", seeds), option("--format", formats), option("--level", levels)]
+def command(name, *options, formats=table_formats, level=True):
+    common = [option("--seed", seeds), option("--format", formats)]
+    if level:  # simulate has no --level
+        common.append(option("--level", levels))
     parts = st.tuples(*options, *common, st.permutations(range(len(options) + len(common))))
     return parts.map(lambda p: [name] + [tok for k in p[-1] for tok in p[k]])
 
@@ -104,6 +106,7 @@ simulate_argv = command(
     option("--sigma", sds),
     option("--workers", st.sampled_from(["-1", "0", "2", "10000", "x"])),
     option("--dump-batch", st.sampled_from(["batch.csv", "no-such-dir/batch.csv"])),
+    level=False,
 )
 pi_argv = command(
     "pi",

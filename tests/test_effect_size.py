@@ -5,7 +5,7 @@ import warnings
 
 import numpy as np
 import pytest
-from hypothesis import given
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from replikit import (
@@ -161,8 +161,49 @@ def test_non_finite_pooled_sd_rejected_alike_by_scalar_and_row_paths(sd1):
 
 
 def test_d_rows_reject_overflowing_d():
-    with pytest.raises(DomainError, match="d and se"), np.errstate(over="ignore"):
+    with pytest.raises(DomainError, match="d must be finite, got inf"), np.errstate(over="ignore"):
         rows([0.0, 1e308], [1.0, 1e-10], [0.0, -1e308], [1.0, 1e-10])
+
+
+special_means = st.sampled_from([math.nan, math.inf, -math.inf, 1e308, -1e308, 1e160])
+special_sds = st.one_of(
+    st.sampled_from([0.0, math.nan, math.inf, 1e-10, 1e154, 1.5e154, 1e200, 2.0**-511,
+                     math.nextafter(2.0**-511, 0.0), math.nextafter(2.0**-511, 1.0)]),
+    st.floats(min_value=1e153, max_value=1e155),
+    st.floats(min_value=2.0**-520, max_value=2.0**-500),
+)
+clean_rows = st.tuples(arm_means, arm_sds, arm_means, arm_sds)
+mixed_rows = st.tuples(
+    arm_means | special_means, arm_sds | special_sds, arm_means | special_means, arm_sds | special_sds
+) | st.tuples(arm_means, st.just(0.0), arm_means, st.just(0.0))
+
+
+def scalar_outcome(n1, n2, row):
+    """(d, se) of ``cohens_d`` on one row, or the class and message it raises."""
+    try:
+        effect = cohens_d(SampleSummary(n1, row[0], row[1]), SampleSummary(n2, row[2], row[3]))
+    except DomainError as exc:
+        return type(exc), str(exc)
+    return effect.d, effect.se
+
+
+@settings(max_examples=300)
+@given(
+    n1=arm_ns, n2=arm_ns,
+    row_list=st.lists(clean_rows, min_size=1, max_size=6)
+    | st.lists(clean_rows | mixed_rows, min_size=1, max_size=6),
+)
+def test_d_rows_raise_what_the_scalar_path_raises_on_the_first_bad_row(n1, n2, row_list):
+    want = [scalar_outcome(n1, n2, row) for row in row_list]
+    errors = [w for w in want if isinstance(w[0], type)]
+    columns = (np.array(column, dtype=float) for column in zip(*row_list))
+    if errors:
+        with pytest.raises(DomainError) as exc:
+            cohens_d_rows(*columns, n1, n2)
+        assert (type(exc.value), str(exc.value)) == errors[0]
+    else:
+        d, se = cohens_d_rows(*columns, n1, n2)
+        assert list(zip(d.tolist(), se.tolist())) == want
 
 
 @given(

@@ -251,17 +251,45 @@ def test_back_solve_t_quantile_calls_over_the_equivalence_cases(monkeypatch):
     assert np.mean(counts) <= 1.7
 
 
+def test_back_solve_closed_form_start_is_the_answer(monkeypatch):
+    # A round trip from equal arms lands on its n from the start: that
+    # half-width and one neighbour's are the only two quantiles asked for.
+    rng = np.random.default_rng(29)
+    calls = count_t_quantile_calls(monkeypatch)
+    for _ in range(2000):
+        n = 2 * int(rng.integers(2, 20_001))
+        d = float(rng.uniform(-3.0, 3.0))
+        interval = prediction_interval(equal_arm_design(d, n, n, float(rng.uniform(0.5, 0.999))))
+        calls.clear()
+        assert back_solve_n(d, interval) == n, (d, interval)
+        assert len(calls) <= 2, (d, interval, calls)
+
+
+@pytest.mark.parametrize("m", [2, 3, 4_999_999, 5_000_000])
+def test_back_solve_round_trip_at_both_ends_of_the_range(m):
+    # The target, half of (d + w) - (d - w), carries the rounding of d -/+ w;
+    # each candidate is measured the same way, so n = 4 and n = 1e7 come back.
+    rng = np.random.default_rng(m)
+    for _ in range(400):
+        d = float(rng.uniform(-3.0, 3.0))
+        level = float(rng.uniform(0.5, 0.999))
+        interval = prediction_interval(equal_arm_design(d, 2 * m, 2 * m, level))
+        assert back_solve_n(d, interval) == 2 * m, (d, interval)
+
+
 def equal_arm_half_width(d, m, level):
     se = standard_error_d(d, m, m)
     return prediction._half_width(se, se, 2 * m - 2, level)
 
 
 def bisect_back_solve(d_orig, interval):
-    # Reference: bisection over the whole per-arm range m in [2, 5e6].
+    # Reference: bisection over the whole per-arm range m in [2, 5e6], each
+    # half-width w measured as the target is, half the width of d -/+ w.
     target = interval.width / 2.0
 
     def half_width(m):
-        return equal_arm_half_width(d_orig, m, interval.level)
+        w = equal_arm_half_width(d_orig, m, interval.level)
+        return ((d_orig + w) - (d_orig - w)) / 2.0
 
     lo, hi = 2, 5_000_000
     w_lo = half_width(lo)
