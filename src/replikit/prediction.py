@@ -93,13 +93,13 @@ def back_solve_n(d_orig: float, interval: Interval) -> int:
     26.7.5), t/z = 1 + a1/df + a2/df^2, into m = m* (t/z)^2 gives
     a1 = (z^2 + 1)/4, a2 = (5z^4 + 16z^2 + 3)/96 and
     b = a1 - 3 a1^2/4 + a2/2. For an interval that ``prediction_interval``
-    made from equal arms, the start is the answer, and one more half-width
-    brackets it. Otherwise steps of 1, 2, 4, ... from the start bracket
-    the target inside [2, 5e6] and bisection narrows the bracket to
-    adjacent m; a target beyond either end raises ``NoSolutionError``. The
-    half-width decreases in m, so from any start this ends on the same pair
-    as bisecting all of [2, 5e6], and asks for a large df only when the
-    answer is that large.
+    made from equal arms, the start is the answer or its neighbour, and one
+    more half-width brackets the answer. Otherwise steps of 1, 2, 4, ... from
+    the start bracket the target inside [2, 5e6] and bisection narrows the
+    bracket to adjacent m; a target beyond either end raises
+    ``NoSolutionError``. The measured half-width never rises with m, so from
+    any start this ends on the same pair as bisecting all of [2, 5e6], and
+    asks for a large df only when the answer is that large.
     """
     # An interval with both ends infinite has a nan centre, which lies near no d.
     if math.isnan(interval.midpoint) or abs(interval.midpoint - d_orig) > _CENTER_TOLERANCE:

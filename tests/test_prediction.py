@@ -251,9 +251,9 @@ def test_back_solve_t_quantile_calls_over_the_equivalence_cases(monkeypatch):
     assert np.mean(counts) <= 1.7
 
 
-def test_back_solve_closed_form_start_is_the_answer(monkeypatch):
-    # A round trip from equal arms lands on its n from the start: that
-    # half-width and one neighbour's are the only two quantiles asked for.
+def test_back_solve_round_trip_asks_for_at_most_two_quantiles(monkeypatch):
+    # The closed-form start is the answer or its neighbour, so the answer's
+    # half-width and one neighbour's are the only quantiles asked for.
     rng = np.random.default_rng(29)
     calls = count_t_quantile_calls(monkeypatch)
     for _ in range(2000):

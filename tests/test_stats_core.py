@@ -342,8 +342,9 @@ def test_t_quantile_large_df_is_as_accurate_as_the_normal_quantile(df):
     for p in P_GRID:
         z = stats.norm.ppf(p)
         normal_error = abs(normal_quantile(p) - z) / z
-        # d ln t / d ln z = 1 + z^2/(2 df) + ..., so the series carries z's
-        # error up by at most that factor (1.0025 at df 1e4, p = 1 - 1e-12).
+        # d ln t / d ln z = 1 + z^2/(2 df) + ..., so the series scales z's
+        # error by about that factor, 1.0025 at df 1e4 and p = 1 - 1e-12;
+        # the bound allows twice its first-order term.
         bound = normal_error * (1.0 + z * z / df) + 1e-15
         assert t_quantile_rel_error(t_quantile(p, df), p, df) <= bound, p
     # At the p every default interval uses, it is within 2.3e-16 of scipy too.
