@@ -1,9 +1,11 @@
 """Command-line surface for the toolkit.
 
-Subcommands: effect, simulate, pi, meta, forest, funnel. Every run echoes
-its effective configuration so any published number can be reproduced from
-the output alone; in text mode the echo is commented header lines, in json
-it is a "config" key, and in csv/svg it goes to stderr.
+Subcommands: effect, simulate, pi, meta, forest, funnel; ``build_parser`` says
+what each takes. Only simulate draws, so only it takes ``--seed``; forest and
+funnel write SVG only, and the four others take ``--format text|csv|json``.
+Every run echoes its effective configuration so any published number can be
+reproduced from the output alone: as ``# key value`` header lines in text, a
+"config" key in json, and on stderr in csv and for the plots.
 
 Exit codes: 0 success, 2 input/parse error, 3 domain/precondition error
 (out of memory and integer overflow included), 4 numeric non-convergence.
@@ -21,7 +23,7 @@ from pathlib import Path
 from typing import Mapping, Sequence
 
 from .effect_size import _BANDS, EffectSize, classify, cohens_d, confidence_interval, standard_error_d
-from .errors import ParseError, ReplikitError, UnsupportedFormatError
+from .errors import ParseError, ReplikitError
 from .io import OutputFormat, Percent, Table, config_lines, parse_study_csv, render
 from .meta import fixed_effect_pool
 from .prediction import ReplicationDesign, confirms, prediction_interval
@@ -44,13 +46,10 @@ class _Parser(argparse.ArgumentParser):
         self._negative_number_matcher = re.compile(r"^-(\d+\.?\d*|\.\d+)([eE][+-]?\d+)?$")
 
 
-def _add_common(parser: argparse.ArgumentParser, default_format: str = "text") -> None:
-    parser.add_argument("--seed", type=int, default=42, help="master seed (default 42)")
+def _add_format(parser: argparse.ArgumentParser) -> None:
     parser.add_argument(
-        "--format",
-        choices=[f.value for f in OutputFormat],
-        default=default_format,
-        help=f"output format (default {default_format})",
+        "--format", choices=[f.value for f in OutputFormat], default="text",
+        help="output format (default text)",
     )
 
 
@@ -80,7 +79,7 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("effect", help="two-arm summaries -> d, se, CI, category")
-    _add_common(p)
+    _add_format(p)
     _add_level(p)
     p.add_argument("--n1", type=_arm_size, required=True)
     p.add_argument("--mean1", type=float, required=True)
@@ -94,7 +93,8 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser(
         "simulate", help="Monte Carlo scenario -> category/sign tables + boxplot data"
     )
-    _add_common(p)
+    _add_format(p)
+    p.add_argument("--seed", type=int, default=42, help="master seed (default 42)")
     p.add_argument("--runs", type=int, default=10000, help="number of experiments (even)")
     p.add_argument("--n-per-arm", type=int, default=30)
     p.add_argument("--effect", default="none", help="true effect: none, small, or a number")
@@ -108,7 +108,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(handler=_cmd_simulate)
 
     p = sub.add_parser("pi", help="original study + replication sizes -> prediction interval")
-    _add_common(p)
+    _add_format(p)
     _add_level(p)
     p.add_argument("--d", type=float, required=True, help="original effect size")
     p.add_argument("--n1", type=_arm_size, required=True, help="original arm 1 size")
@@ -120,14 +120,13 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(handler=_cmd_pi)
 
     p = sub.add_parser("meta", help="study CSV -> pooled effect + heterogeneity")
-    _add_common(p)
+    _add_format(p)
     _add_level(p)
     p.add_argument("path", help="study CSV file")
     p.set_defaults(handler=_cmd_meta)
 
     for name, render in (("forest", render_forest_svg), ("funnel", render_funnel_svg)):
         p = sub.add_parser(name, help=f"study CSV -> {name} plot SVG")
-        _add_common(p, default_format="svg")
         _add_level(p)
         p.add_argument("path", help="study CSV file")
         p.add_argument("--output", metavar="PATH", help="write SVG here instead of stdout")
@@ -150,7 +149,7 @@ def _cmd_effect(args: argparse.Namespace) -> int:
     effect = cohens_d(arm1, arm2, hedges=args.hedges)
     ci = confidence_interval(effect, level=args.level)
     config = {
-        "command": "effect", "seed": args.seed, "level": args.level,
+        "command": "effect", "level": args.level,
         "n1": args.n1, "mean1": args.mean1, "sd1": args.sd1,
         "n2": args.n2, "mean2": args.mean2, "sd2": args.sd2,
         "hedges": args.hedges,
@@ -193,7 +192,7 @@ def _cmd_simulate(args: argparse.Namespace) -> int:
     batch = sim.run_simulation(config, workers=args.workers)
     categories = sim.tabulate_categories(batch)
     signs = sim.tabulate_sign_agreement(sim.pair_replications(batch, sim.pairing_stream(config)))
-    label = f"{args.effect}-{args.dist}"
+    label = f"{args.effect.strip()}-{args.dist}"
     box = sim.boxplot_summary(batch)
     if args.dump_batch:
         Path(args.dump_batch).write_text(sim.batch_to_csv(batch), encoding="utf-8")
@@ -226,7 +225,7 @@ def _cmd_pi(args: argparse.Namespace) -> int:
     )
     interval = prediction_interval(design)
     config = {
-        "command": "pi", "seed": args.seed, "level": args.level,
+        "command": "pi", "level": args.level,
         "d": args.d, "se": se, "n1": args.n1, "n2": args.n2,
         "rep_n1": args.rep_n1, "rep_n2": args.rep_n2,
     }
@@ -237,15 +236,8 @@ def _cmd_pi(args: argparse.Namespace) -> int:
 
 
 def _check_output(args: argparse.Namespace) -> None:
-    """Refuse a --format the command cannot render, and an output file it cannot
-    write, before any study file is read or any run simulated."""
-    plot, svg = args.command in ("forest", "funnel"), args.format == OutputFormat.SVG.value
-    if svg and args.command == "meta":
-        raise UnsupportedFormatError("meta renders tables; use forest or funnel for svg")
-    if svg and not plot:
-        render(OutputFormat.SVG, {}, [])  # raises io's refusal of svg for a table command
-    if plot and not svg:
-        raise UnsupportedFormatError(f"{args.command} renders svg only; got --format {args.format}")
+    """Refuse an output file the command cannot write before any study file is
+    read or any run simulated."""
     path = getattr(args, "output", None) or getattr(args, "dump_batch", None)
     if path and not Path(path).is_fifo():  # opening a named pipe would wait for its reader
         made = not os.path.lexists(path)
@@ -267,10 +259,7 @@ def _read_studies(args: argparse.Namespace):
 
 
 def _study_config(args: argparse.Namespace, studies: Sequence[object]) -> dict[str, object]:
-    return {
-        "command": args.command, "seed": args.seed, "level": args.level,
-        "path": args.path, "studies": len(studies),
-    }
+    return {"command": args.command, "level": args.level, "path": args.path, "studies": len(studies)}
 
 
 def _cmd_meta(args: argparse.Namespace) -> int:

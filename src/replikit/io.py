@@ -5,8 +5,9 @@ columns in one pass, with the row checks of ``SampleSummary`` and
 ``StudySummary`` and their row-numbered messages. ``serialize_study_csv``
 writes any study sequence from the columns of its table.
 
-Each command hands ``render`` its config echo and its result as ordered
-tables; per-type rules decide how a value looks in each format. Renders are
+Each table command (effect, simulate, pi, meta) hands ``render`` its config
+echo and its result as ordered tables; per-type rules decide how a value
+looks in each format. The plots are SVG only (``replikit.svg``). Renders are
 pure functions of their inputs: no timestamps, no locale formatting,
 decimal point always ``.``. Text mode prints 4 significant digits; csv and
 json carry full precision. The batch export ``batch_to_csv`` lives with
@@ -33,7 +34,6 @@ class OutputFormat(Enum):
     TEXT = "text"
     CSV = "csv"
     JSON = "json"
-    SVG = "svg"
 
 
 STUDY_COLUMNS = ("study_id", "label", "n1", "n2", "mean1", "mean2", "sd1", "sd2", "d", "se")
@@ -223,8 +223,6 @@ def render(
     Text prints the config echo as comment lines above the tables, csv sends
     it to stderr, and json carries it under a ``"config"`` key.
     """
-    if fmt is OutputFormat.SVG:
-        raise UnsupportedFormatError("svg output is only available for plot commands")
     if fmt is OutputFormat.JSON:
         payload: dict[str, object] = {"config": dict(config)}
         for table in tables:

@@ -262,8 +262,8 @@ def t_quantile(p: float, df: float) -> float:
         return _t_series(normal_quantile(p), df)
 
     # Bracket [lo, hi] with F(lo) < p <= F(hi), lo >= 0.
-    lo = 0.0
-    hi = max(normal_quantile(p), 1.0)
+    z = normal_quantile(p)
+    lo, hi = 0.0, max(z, 1.0)
     for _ in range(_T_QUANTILE_MAX_ITER):
         if t_cdf(hi, df) >= p:
             break
@@ -272,7 +272,7 @@ def t_quantile(p: float, df: float) -> float:
     else:
         raise ConvergenceError(f"failed to bracket t quantile (p={p}, df={df})")
 
-    x = min(max(normal_quantile(p), lo + 0.25 * (hi - lo)), hi)
+    x = min(max(z, lo + 0.25 * (hi - lo)), hi)
     for step in range(_T_QUANTILE_MAX_ITER):
         fx = t_cdf(x, df) - p
         if abs(fx) <= _T_QUANTILE_TOL:

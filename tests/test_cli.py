@@ -1,5 +1,6 @@
 """End-to-end CLI behavior: output routing, config echo, exit codes."""
 
+import argparse
 import json
 import os
 import subprocess
@@ -11,6 +12,7 @@ import pytest
 
 from replikit import cli, standard_error_d
 from replikit.cli import main
+from replikit.simulation import MAX_RUNS
 
 SRC = str(Path(cli.__file__).resolve().parents[1])
 
@@ -87,7 +89,7 @@ def test_effect_hedges_at_an_arm_size_of_2_to_the_64(capsys):
 
 def test_effect_svg_rejected(capsys):
     assert main(EFFECT_ARGS + ["--format", "svg"]) == 2
-    assert "error" in capsys.readouterr().err
+    assert "argument --format: invalid choice: 'svg'" in capsys.readouterr().err
 
 
 NON_FINITE_SD_ERROR = "replikit: error: pooled standard deviation is not finite; d undefined\n"
@@ -202,7 +204,9 @@ def test_simulate_odd_runs_exits_3(capsys):
     assert "error" in capsys.readouterr().err
 
 
-@pytest.mark.parametrize("runs", [2**60, 2**64, 10**400], ids=["2^60", "2^64", "10^400"])
+@pytest.mark.parametrize(
+    "runs", [10**8 + 2, 2**60, 2**64, 10**400], ids=["10^8+2", "2^60", "2^64", "10^400"]
+)
 def test_simulate_runs_too_many_for_an_array_exits_3_before_any_allocation(
     runs, monkeypatch, capsys
 ):
@@ -213,7 +217,7 @@ def test_simulate_runs_too_many_for_an_array_exits_3_before_any_allocation(
     assert main(["simulate", "--runs", str(runs)]) == 3
     captured = capsys.readouterr()
     assert captured.out == ""
-    assert captured.err == f"replikit: error: runs must be at most {2**60 - 2}, got {runs}\n"
+    assert captured.err == f"replikit: error: runs must be at most {MAX_RUNS}, got {runs}\n"
 
 
 @pytest.mark.parametrize("effect", ["inf", "nan", "1e308", "1.7e308"])
@@ -248,11 +252,24 @@ def test_simulate_out_of_memory_exits_3_with_one_line(monkeypatch, capsys):
 
     # Stands in for the np.empty that fails on a batch too large for memory.
     monkeypatch.setattr("replikit.simulation.run_simulation", exhausted)
-    assert main(["simulate", "--runs", "100000000000"]) == 3
+    assert main(["simulate", "--runs", str(MAX_RUNS)]) == 3
     captured = capsys.readouterr()
     assert captured.out == ""
     assert captured.err.startswith("replikit: error: out of memory")
     assert captured.err.count("\n") == 1
+
+
+@pytest.mark.parametrize("fmt", ["text", "csv", "json"])
+@pytest.mark.parametrize(
+    "effect", ["small\n", " small ", "\t0.2\r\n"], ids=["newline", "spaces", "tab-crlf"]
+)
+def test_simulate_padded_effect_gives_the_unpadded_output(effect, fmt, capsys):
+    assert main(["simulate", "--runs", "10", "--format", fmt, "--effect", effect.strip()]) == 0
+    plain = capsys.readouterr()
+    assert main(["simulate", "--runs", "10", "--format", fmt, "--effect", effect]) == 0
+    assert capsys.readouterr() == plain
+    if fmt == "text":
+        assert f"scenario      {effect.strip()}-normal\n" in plain.out
 
 
 def test_simulate_bad_effect_name_exits_2(capsys):
@@ -413,7 +430,7 @@ def test_meta_json_output(study_file, capsys):
 
 def test_meta_svg_rejected(study_file, capsys):
     assert main(["meta", study_file, "--format", "svg"]) == 2
-    assert "forest or funnel" in capsys.readouterr().err
+    assert "argument --format: invalid choice: 'svg'" in capsys.readouterr().err
 
 
 def test_meta_svg_is_rejected_before_a_degenerate_study_is_pooled(tmp_path, capsys):
@@ -422,20 +439,32 @@ def test_meta_svg_is_rejected_before_a_degenerate_study_is_pooled(tmp_path, caps
     assert main(["meta", str(path)]) == 3
     capsys.readouterr()
     assert main(["meta", str(path), "--format", "svg"]) == 2
-    assert capsys.readouterr().err == (
-        "replikit: error: meta renders tables; use forest or funnel for svg\n")
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.endswith(
+        "replikit meta: error: argument --format: invalid choice: 'svg' "
+        "(choose from 'text', 'csv', 'json')\n")
 
 
-@pytest.mark.parametrize("command, fmt", [("forest", "text"), ("funnel", "json"), ("meta", "svg")])
+@pytest.mark.parametrize(
+    "command, fmt, message",
+    [
+        ("forest", "text", "unrecognized arguments: --format text"),
+        ("funnel", "json", "unrecognized arguments: --format json"),
+        ("meta", "svg", "argument --format: invalid choice: 'svg'"),
+    ],
+)
 def test_unsupported_format_is_rejected_before_the_study_file_is_read(
-    command, fmt, study_file, monkeypatch, capsys
+    command, fmt, message, study_file, monkeypatch, capsys
 ):
     def unread(content):
         raise AssertionError("the study file was parsed")
 
     monkeypatch.setattr(cli, "parse_study_csv", unread)
     assert main([command, study_file, "--format", fmt]) == 2
-    assert "renders" in capsys.readouterr().err
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert message in captured.err
 
 
 @pytest.mark.parametrize("fmt", ["text", "csv", "json"])
@@ -481,9 +510,8 @@ def test_study_file_over_the_size_cap_exits_2(command, study_file, monkeypatch, 
         (["simulate", "--runs", "200000", "--dump-batch", "{missing}/batch.csv"], "No such file"),
         (["forest", "{studies}", "--output", "{missing}/x.svg"], "No such file"),
         (["funnel", "{studies}", "--output", "{tmp}"], "Is a directory"),
-        (["simulate", "--runs", "200000", "--format", "svg"], "only available for plot commands"),
     ],
-    ids=["dump-batch", "forest-output", "funnel-output-dir", "simulate-svg"],
+    ids=["dump-batch", "forest-output", "funnel-output-dir"],
 )
 def test_output_is_checked_before_the_work(
     argv, message, study_file, tmp_path, monkeypatch, capsys
@@ -621,7 +649,7 @@ def test_forest_default_format_is_svg_on_stdout(study_file, capsys):
 
 def test_forest_text_format_rejected(study_file, capsys):
     assert main(["forest", study_file, "--format", "text"]) == 2
-    assert "svg only" in capsys.readouterr().err
+    assert "unrecognized arguments: --format text" in capsys.readouterr().err
 
 
 def test_funnel_svg_on_stdout(study_file, capsys):
@@ -652,6 +680,70 @@ def test_simulate_has_no_level_to_ignore(capsys):
     # simulate reads no level, so a --level there is an unknown flag
     assert main(["simulate", "--runs", "10", "--level", "0.5"]) == 2
     assert "unrecognized arguments: --level 0.5" in capsys.readouterr().err
+
+
+OPTIONS = {
+    "effect": ["-h", "--help", "--format", "--level", "--n1", "--mean1", "--sd1",
+               "--n2", "--mean2", "--sd2", "--hedges"],
+    "simulate": ["-h", "--help", "--format", "--seed", "--runs", "--n-per-arm", "--effect",
+                 "--dist", "--epsilon", "--scale-mult", "--mu", "--sigma", "--workers",
+                 "--dump-batch"],
+    "pi": ["-h", "--help", "--format", "--level", "--d", "--n1", "--n2", "--se",
+           "--rep-n1", "--rep-n2", "--check"],
+    "meta": ["-h", "--help", "--format", "--level"],
+    "forest": ["-h", "--help", "--level", "--output"],
+    "funnel": ["-h", "--help", "--level", "--output"],
+}
+
+
+def test_each_command_takes_only_the_options_it_reads():
+    parser = cli.build_parser()
+    subparsers = next(a for a in parser._actions if isinstance(a, argparse._SubParsersAction))
+    assert list(subparsers.choices) == list(OPTIONS)
+    for name, sub in subparsers.choices.items():
+        assert [s for a in sub._actions for s in a.option_strings] == OPTIONS[name], name
+        formats = [a.choices for a in sub._actions if a.dest == "format"]
+        assert formats == ([] if name in ("forest", "funnel") else [["text", "csv", "json"]])
+
+
+@pytest.mark.parametrize(
+    "argv, extra",
+    [
+        (EFFECT_ARGS, ["--seed", "1"]),
+        (PI_ARGS, ["--seed", "1"]),
+        (["meta", "{studies}"], ["--seed", "1"]),
+        (["forest", "{studies}"], ["--seed", "1"]),
+        (["funnel", "{studies}"], ["--seed", "1"]),
+        (["forest", "{studies}"], ["--format", "svg"]),
+        (["funnel", "{studies}"], ["--format", "svg"]),
+    ],
+    ids=["effect-seed", "pi-seed", "meta-seed", "forest-seed", "funnel-seed",
+         "forest-format", "funnel-format"],
+)
+def test_an_option_the_command_does_not_read_exits_2_before_the_work(
+    argv, extra, study_file, monkeypatch, capsys
+):
+    def work(*args, **kwargs):
+        raise AssertionError("the command ran past its arguments")
+
+    monkeypatch.setattr(cli, "_check_output", work)
+    monkeypatch.setattr(cli, "parse_study_csv", work)
+    monkeypatch.setattr("replikit.simulation.run_simulation", work)
+    assert main([tok.format(studies=study_file) for tok in argv] + extra) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert f"replikit: error: unrecognized arguments: {' '.join(extra)}\n" in captured.err
+
+
+def test_simulate_svg_is_an_invalid_choice_before_the_work(monkeypatch, capsys):
+    def work(*args, **kwargs):
+        raise AssertionError("the batch was run")
+
+    monkeypatch.setattr("replikit.simulation.run_simulation", work)
+    assert main(["simulate", "--runs", "200000", "--format", "svg"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "argument --format: invalid choice: 'svg'" in captured.err
 
 
 SIMULATE_ARGS = ["simulate", "--runs", "10", "--dist", "mixed"]

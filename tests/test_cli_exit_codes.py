@@ -65,7 +65,6 @@ seeds = st.one_of(
     st.integers(0, 99).map(str), st.sampled_from(["-1", "0", str(2**64 - 1), str(2**64), "x"])
 )
 table_formats = st.sampled_from(["text", "csv", "json"] * 2 + ["svg", "yaml"])
-plot_formats = st.sampled_from(["svg"] * 4 + ["text", "yaml"])
 
 
 def required(name, values):
@@ -80,8 +79,11 @@ def option(name, values):
     return st.one_of(st.just([]), required(name, values))
 
 
-def command(name, *options, formats=table_formats, level=True):
-    common = [option("--seed", seeds), option("--format", formats)]
+def command(name, *options, seed=False, formats=True, level=True):
+    """argv for ``name``: its own ``options``, then the shared ones it takes."""
+    common = [option("--seed", seeds)] if seed else []  # only simulate draws
+    if formats:  # forest and funnel write svg only
+        common.append(option("--format", table_formats))
     if level:  # simulate has no --level
         common.append(option("--level", levels))
     parts = st.tuples(*options, *common, st.permutations(range(len(options) + len(common))))
@@ -106,6 +108,7 @@ simulate_argv = command(
     option("--sigma", sds),
     option("--workers", st.sampled_from(["-1", "0", "2", "10000", "x"])),
     option("--dump-batch", st.sampled_from(["batch.csv", "no-such-dir/batch.csv"])),
+    seed=True,
     level=False,
 )
 pi_argv = command(
@@ -125,7 +128,7 @@ study_argv = st.one_of(
             name,
             st.just(["studies.csv"]),
             option("--output", st.sampled_from(["plot.svg", "no-such-dir/x.svg"])),
-            formats=plot_formats,
+            formats=False,
         )
     ),
 )

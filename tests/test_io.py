@@ -375,22 +375,6 @@ def test_fmt4():
     assert fmt4(0.0001234) == "0.0001234"
 
 
-@pytest.mark.parametrize(
-    "table",
-    [category_table(CATEGORY_TABLE), sign_table(SignAgreementTable(0, 0, 0, 0))],
-    ids=["category", "sign"],
-)
-def test_svg_is_not_a_table_format(table):
-    with pytest.raises(UnsupportedFormatError):
-        render(OutputFormat.SVG, {}, [table])
-
-
-def test_svg_rejection_also_applies_to_meta():
-    with pytest.raises(UnsupportedFormatError) as excinfo:
-        render(OutputFormat.SVG, {}, [meta_table(build_meta())])
-    assert excinfo.value.exit_code == 2
-
-
 def test_render_rejects_unknown_payload():
     for fmt in (OutputFormat.TEXT, OutputFormat.CSV, OutputFormat.JSON):
         with pytest.raises(UnsupportedFormatError):
