@@ -453,6 +453,7 @@ def test_meta_svg_is_rejected_before_a_degenerate_study_is_pooled(tmp_path, caps
         ("funnel", "json", "unrecognized arguments: --format json"),
         ("meta", "svg", "argument --format: invalid choice: 'svg'"),
     ],
+    ids=["forest-text", "funnel-json", "meta-svg"],
 )
 def test_unsupported_format_is_rejected_before_the_study_file_is_read(
     command, fmt, message, study_file, monkeypatch, capsys
