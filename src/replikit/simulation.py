@@ -154,10 +154,16 @@ def draw_rows(
         gen.standard_normal(out=z[row])
         if u is not None:
             gen.random(out=u[row])
-    # In place, the same doubles as the kernel's scale * z: scale is
-    # scale_mult where u < epsilon, and 1.0 * z == z elsewhere.
+    # In place, the same doubles as draw_contaminated's scale * z (1.0 * z == z
+    # where u >= epsilon); only this product can overflow a standard draw.
     if u is not None:
-        np.multiply(z, spec.scale_mult, out=z, where=u < spec.epsilon)
+        try:
+            with np.errstate(over="raise"):
+                np.multiply(z, spec.scale_mult, out=z, where=u < spec.epsilon)
+        except FloatingPointError:
+            raise DomainError(
+                f"scale_mult {spec.scale_mult!r} overflows a contaminated draw to infinity"
+            ) from None
     return z
 
 
@@ -312,27 +318,10 @@ def run_simulation(config: SimulationConfig, workers: int = 1) -> SimulationBatc
             z = draw_rows(config.master_seed, range(start, stop), 2 * n, config.contamination)
             x, y = z[:, :n], z[:, n:]
             x += config.true_effect_d
-            try:
-                d[start:stop], se[start:stop] = cohens_d_rows(
-                    x.mean(axis=1), x.std(axis=1, ddof=1), y.mean(axis=1), y.std(axis=1, ddof=1), n, n
-                )
-            except DomainError:
-                _check_contaminated_draws(config, start, stop)
-                raise
+            d[start:stop], se[start:stop] = cohens_d_rows(
+                x.mean(axis=1), x.std(axis=1, ddof=1), y.mean(axis=1), y.std(axis=1, ddof=1), n, n
+            )
     return SimulationBatch._of_columns(config, d, se)
-
-
-def _check_contaminated_draws(config: SimulationConfig, start: int, stop: int) -> None:
-    # Only a chunk the kernel rejected gets here, so a passing batch pays for
-    # no second look. The effect shift was added in place, so the draws are
-    # made again to tell scale_mult's overflow from the effect's.
-    spec = config.contamination
-    if spec is not None:
-        z = draw_rows(config.master_seed, range(start, stop), 2 * config.n_per_arm, spec)
-        if not np.isfinite(z).all():
-            raise DomainError(
-                f"scale_mult {spec.scale_mult!r} overflows a contaminated draw to infinity"
-            ) from None
 
 
 def tabulate_categories(batch: SimulationBatch) -> dict[EffectCategory, float]:
@@ -344,7 +333,9 @@ def tabulate_categories(batch: SimulationBatch) -> dict[EffectCategory, float]:
     if not np.isfinite(d).all():
         classify(float(d[~np.isfinite(d)][0]))  # raises its DomainError
     band = np.searchsorted(_BANDS, np.abs(d))
-    counts = np.bincount(3 + np.where(d > 0, band, -band), minlength=7).tolist()
+    np.negative(band, out=band, where=d <= 0)
+    band += 3
+    counts = np.bincount(band, minlength=7).tolist()
     return {cat: count / d.size for cat, count in zip(EffectCategory, counts)}
 
 
@@ -358,8 +349,9 @@ def pair_replications(batch: SimulationBatch, stream: RandomStream) -> np.ndarra
     n = batch.d.size
     if n % 2 != 0:
         raise PairingError(f"cannot pair an odd number of experiments ({n})")
-    perm = stream.generator().permutation(n)
-    return batch.d[perm].reshape(-1, 2)
+    pairs = batch.d.copy()
+    stream.generator().shuffle(pairs)
+    return pairs.reshape(-1, 2)
 
 
 def tabulate_sign_agreement(pairs: np.ndarray) -> SignAgreementTable:

@@ -1,9 +1,11 @@
 """Monte Carlo engine: determinism, pairing, tabulation, boxplot data."""
 
 import math
+import re
 import threading
 import tracemalloc
 from collections import Counter
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -24,6 +26,7 @@ from replikit import (
     tabulate_categories,
     tabulate_sign_agreement,
 )
+from replikit import simulation
 from replikit.effect_size import classify
 from replikit.simulation import (
     MAX_N_PER_ARM,
@@ -32,6 +35,7 @@ from replikit.simulation import (
     derive_substream,
     draw_contaminated,
     draw_normal,
+    draw_rows,
     summarize,
 )
 
@@ -176,6 +180,26 @@ def test_zero_epsilon_contamination_matches_plain_normal():
     assert d_values(a) == d_values(b)
 
 
+OVERFLOW = re.escape("scale_mult 1e+308 overflows a contaminated draw to infinity")
+
+
+def test_each_chunk_is_drawn_once(monkeypatch):
+    monkeypatch.setattr("replikit.simulation._CHUNK_DRAWS", 7 * 2 * 30)
+    with mock.patch.object(simulation, "draw_rows", wraps=draw_rows) as spy:
+        run_simulation(small_config(runs=50, contamination=ContaminationSpec()))
+        assert spy.call_count == 8  # ceil(50 / 7) chunks
+        spy.reset_mock()
+        overflowing = ContaminationSpec(scale_mult=1e308)
+        with pytest.raises(DomainError, match=f"^{OVERFLOW}$"):
+            run_simulation(small_config(runs=50, contamination=overflowing))
+        assert spy.call_count == 1
+
+
+def test_draw_rows_rejects_an_overflowing_scale_mult():
+    with pytest.raises(DomainError, match=f"^{OVERFLOW}$"):
+        draw_rows(7, range(10), 60, ContaminationSpec(scale_mult=1e308))
+
+
 def test_empty_batch():
     batch = run_simulation(small_config(runs=0))
     assert columns(batch) == ([], [])
@@ -295,6 +319,24 @@ def test_pairing_deterministic():
     p1 = pair_replications(batch, pairing_stream(cfg))
     p2 = pair_replications(batch, pairing_stream(cfg))
     assert p1.tolist() == p2.tolist()
+
+
+@given(st.integers(1, 600), st.integers(0, 2**64 - 1))
+def test_pairing_shuffles_as_the_gathered_permutation(half, seed):
+    d = np.random.default_rng(seed).standard_normal(2 * half)
+    batch = SimulationBatch(small_config(runs=2 * half), d, np.ones(d.size))
+    stream = derive_substream(seed, 2 * half)
+    gathered = batch.d[stream.generator().permutation(d.size)].reshape(-1, 2)
+    assert pair_replications(batch, stream).tobytes() == gathered.tobytes()
+
+
+def test_pairing_of_seeded_batches_is_the_gathered_permutation():
+    for seed, runs in ((42, 2), (7, 2000), (2**64 - 1, 20_000)):
+        cfg = small_config(runs=runs, master_seed=seed, contamination=ContaminationSpec())
+        batch = run_simulation(cfg)
+        stream = pairing_stream(cfg)
+        gathered = batch.d[stream.generator().permutation(runs)].reshape(-1, 2)
+        assert pair_replications(batch, stream).tobytes() == gathered.tobytes()
 
 
 # ---------------------------------------------------------------------------
