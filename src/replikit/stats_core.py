@@ -117,6 +117,30 @@ def _betacf(a: float, b: float, x: float) -> float:
     raise ConvergenceError(f"incomplete beta continued fraction did not converge (a={a}, b={b}, x={x})")
 
 
+# From this a on, lgamma(a + b) - lgamma(a) comes from Stirling's series: the
+# two lgamma values are near a*log(a), and their difference keeps only about
+# a*log(a)*1e-16 of absolute accuracy (1.7e-8 at a = 5e6).
+_STIRLING_MIN_A = 1000.0
+
+
+def _lgamma_shift(a: float, b: float) -> float:
+    """``lgamma(a + b) - lgamma(a)`` for a, b > 0.
+
+    From a = 1000 on it is (a - 1/2)*log1p(b/a) + b*log(a + b) - b
+    + w(a + b) - w(a), with Stirling's tail w(x) = 1/(12x) - 1/(360x^3)
+    + 1/(1260x^5), which has no cancelling lgamma pair; below, the two lgamma
+    values themselves.
+    """
+    if a < _STIRLING_MIN_A:
+        return math.lgamma(a + b) - math.lgamma(a)
+
+    def tail(x: float) -> float:
+        x2 = x * x
+        return (1.0 / 12.0 - (1.0 / 360.0 - 1.0 / (1260.0 * x2)) / x2) / x
+
+    return (a - 0.5) * math.log1p(b / a) + b * math.log(a + b) - b + tail(a + b) - tail(a)
+
+
 def regularized_incomplete_beta(a: float, b: float, x: float) -> float:
     """Regularized incomplete beta function I_x(a, b) for a, b > 0, x in [0, 1]."""
     if a <= 0 or b <= 0:
@@ -128,8 +152,7 @@ def regularized_incomplete_beta(a: float, b: float, x: float) -> float:
     if x == 1.0:
         return 1.0
     ln_bt = (
-        math.lgamma(a + b)
-        - math.lgamma(a)
+        _lgamma_shift(a, b)
         - math.lgamma(b)
         + a * math.log(x)
         + b * math.log1p(-x)
@@ -145,8 +168,7 @@ def t_pdf(x: float, df: float) -> float:
     if df <= 0:
         raise DomainError(f"df must be > 0, got {df}")
     ln_f = (
-        math.lgamma((df + 1.0) / 2.0)
-        - math.lgamma(df / 2.0)
+        _lgamma_shift(df / 2.0, 0.5)
         - 0.5 * math.log(df * math.pi)
         - ((df + 1.0) / 2.0) * math.log1p(x * x / df)
     )

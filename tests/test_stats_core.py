@@ -15,7 +15,7 @@ import random
 import mpmath
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from scipy import integrate, optimize, special, stats
 
@@ -298,6 +298,25 @@ def test_t_quantile_converges_through_cdf_noise_at_large_df(p, df):
     assert abs(t_quantile(p, df) - stats.t.ppf(p, df)) <= 1e-7 * stats.t.ppf(p, df)
 
 
+def t_upper_tail(x, df):
+    """P(T > x) for x > 0 in mpmath: I_{df/(df+x^2)}(df/2, 1/2) / 2."""
+    with mpmath.workdps(40):
+        x, df = mpmath.mpf(x), mpmath.mpf(df)
+        return float(mpmath.betainc(df / 2, 0.5, 0, df / (df + x * x), regularized=True) / 2)
+
+
+@pytest.mark.parametrize("df", [2000, 3000, 5000, 1e4, 2e4, 5e4, 1e5, 3e5, 1e6, 3e6, 1e7])
+def test_t_cdf_at_large_df_is_as_accurate_as_its_argument(df):
+    # Rounding x = df/(df + t^2) moves the tail by about 1.1e-16 * df * (1 + 1/t^2)
+    # relative; no t_cdf built on that x does better. The bound is four times
+    # it: the worst of 3,000 random points read 1.09 times it, and forming
+    # lgamma(df/2 + 1/2) - lgamma(df/2) directly read up to 89 times.
+    for t in np.linspace(0.5, 8.0, 16):
+        tail = t_upper_tail(t, df)
+        bound = 4.0 * (tail * df * 1.1e-16 * (1.0 + 1.0 / (t * t)) + 1.1e-16)
+        assert abs(t_cdf(t, df) - (1.0 - tail)) <= bound, t
+
+
 def t_quantile_rel_error(x, p, df):
     """Relative error of x as the t quantile at p > 1/2: the CDF residual at x
     over density times x, in mpmath. F = 1/2 + I_y(1/2, df/2)/2 with
@@ -420,6 +439,7 @@ def test_t_quantile_decreasing_in_df_above_median(p, df, factor):
     x=st.floats(min_value=-20.0, max_value=20.0),
     df=st.floats(min_value=0.5, max_value=1e4),
 )
+@example(x=1.0, df=1e4)  # t_cdf's lgamma difference alone was 3.2e-12 off here
 def test_t_cdf_quantile_round_trip(x, df):
     p = t_cdf(x, df)
     if 1e-12 < p < 1.0 - 1e-12:
