@@ -132,6 +132,8 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--output", metavar="PATH", help="write SVG here instead of stdout")
         p.set_defaults(handler=_cmd_plot, render=render)
 
+    for p in sub.choices.values():  # an unknown option is reported with its command's usage
+        p.set_defaults(parser=p)
     return parser
 
 
@@ -288,7 +290,9 @@ def _cmd_plot(args: argparse.Namespace) -> int:
 def main(argv: Sequence[str] | None = None) -> int:
     parser = build_parser()
     try:
-        args = parser.parse_args(argv)
+        args, extra = parser.parse_known_args(argv)
+        if extra:
+            args.parser.error(f"unrecognized arguments: {' '.join(extra)}")
     except SystemExit as exc:
         return int(exc.code or 0)
     try:

@@ -733,7 +733,22 @@ def test_an_option_the_command_does_not_read_exits_2_before_the_work(
     assert main([tok.format(studies=study_file) for tok in argv] + extra) == 2
     captured = capsys.readouterr()
     assert captured.out == ""
-    assert f"replikit: error: unrecognized arguments: {' '.join(extra)}\n" in captured.err
+    assert f"replikit {argv[0]}: error: unrecognized arguments: {' '.join(extra)}\n" in captured.err
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [EFFECT_ARGS, ["simulate"], PI_ARGS, ["meta", "{studies}"], ["forest", "{studies}"],
+     ["funnel", "{studies}"]],
+    ids=lambda argv: argv[0],
+)
+def test_an_unknown_option_is_reported_with_the_commands_usage(argv, study_file, capsys):
+    assert main([tok.format(studies=study_file) for tok in argv] + ["--nope"]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith(f"usage: replikit {argv[0]} [-h] ")
+    assert err.endswith(f"\nreplikit {argv[0]}: error: unrecognized arguments: --nope\n")
+    if argv[0] == "forest":
+        assert err.splitlines()[0] == "usage: replikit forest [-h] [--level LEVEL] [--output PATH] path"
 
 
 def test_simulate_svg_is_an_invalid_choice_before_the_work(monkeypatch, capsys):
