@@ -1,10 +1,14 @@
 """Monte Carlo engine: determinism, pairing, tabulation, boxplot data."""
 
 import math
+import os
 import re
+import subprocess
+import sys
 import threading
 import tracemalloc
 from collections import Counter
+from pathlib import Path
 from unittest import mock
 
 import numpy as np
@@ -26,6 +30,7 @@ from replikit import (
     tabulate_categories,
     tabulate_sign_agreement,
 )
+import replikit
 from replikit import simulation
 from replikit.effect_size import classify
 from replikit.simulation import (
@@ -143,6 +148,40 @@ def test_run_simulation_keeps_its_columns_without_a_copy(monkeypatch):
         tracemalloc.stop()
     assert peak < 3 * batch.d.nbytes
     assert not batch.d.flags.writeable and not batch.se.flags.writeable
+
+
+# Each run is forked from this small interpreter, which never loads numpy,
+# and its peak is read from os.wait4. A child started from a large process,
+# whether spawned with CLONE_VM or forked, carries that process's resident
+# size into its ru_maxrss, so the runs are not started from the test process.
+PEAK_RSS_LAUNCHER = """
+import os, sys
+for runs in sys.argv[1:]:
+    pid = os.fork()
+    if pid == 0:
+        os.dup2(os.open(os.devnull, os.O_WRONLY), 1)
+        os.execv(sys.executable, [sys.executable, "-m", "replikit.cli", "simulate", "--runs", runs])
+    _, status, usage = os.wait4(pid, 0)
+    print(os.waitstatus_to_exitcode(status), usage.ru_maxrss)
+"""
+
+
+@pytest.mark.skipif(not sys.platform.startswith("linux"), reason="ru_maxrss is in KiB on Linux")
+def test_simulate_peak_memory_per_run():
+    src = str(Path(replikit.__file__).resolve().parents[1])
+    proc = subprocess.run(
+        [sys.executable, "-c", PEAK_RSS_LAUNCHER, "200000", "1000000"],
+        env={**os.environ, "PYTHONPATH": src}, capture_output=True, text=True, timeout=300,
+    )
+    assert proc.returncode == 0, proc.stderr
+    (rc_small, kib_small), (rc_large, kib_large) = (
+        map(int, line.split()) for line in proc.stdout.splitlines()
+    )
+    assert rc_small == rc_large == 0
+    # Above the 2e5-run peak: the d and se columns (16 B a run) and the
+    # largest per-run transient of the tables drawn from them.
+    per_run = (kib_large - kib_small) * 1024 / 800_000
+    assert per_run <= 33.0, per_run
 
 
 def test_run_simulation_deterministic():
