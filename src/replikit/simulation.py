@@ -27,8 +27,8 @@ _UINT64_MAX = 2**64 - 1
 # A chunk holds at least one row of 2n normals (and 2n uniforms when mixed), so
 # memory grows with n: `simulate --runs 2 --dist mixed` peaks near 83 MB here.
 MAX_N_PER_ARM = 10**6
-# A run costs about 40 bytes at peak (ru_maxrss 46 / 114 MiB at 2e5 / 2e6 runs,
-# 2-core Xeon), so 10^8 runs peak near 3.9 GB; more are refused before any array.
+# A run costs about 31 bytes at peak (ru_maxrss 44 / 157 MiB at 2e5 / 4e6 runs,
+# 2-core Xeon), so 10^8 runs peak near 3.2 GB; more are refused before any array.
 MAX_RUNS = 10**8
 
 # Draws per chunk; rows per chunk follow, so memory is bounded for any n_per_arm.
