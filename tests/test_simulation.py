@@ -30,7 +30,6 @@ from replikit import (
     tabulate_categories,
     tabulate_sign_agreement,
 )
-import replikit
 from replikit import simulation
 from replikit.effect_size import classify
 from replikit.simulation import (
@@ -168,7 +167,7 @@ for runs in sys.argv[1:]:
 
 @pytest.mark.skipif(not sys.platform.startswith("linux"), reason="ru_maxrss is in KiB on Linux")
 def test_simulate_peak_memory_per_run():
-    src = str(Path(replikit.__file__).resolve().parents[1])
+    src = str(Path(simulation.__file__).resolve().parents[1])
     proc = subprocess.run(
         [sys.executable, "-c", PEAK_RSS_LAUNCHER, "200000", "1000000"],
         env={**os.environ, "PYTHONPATH": src}, capture_output=True, text=True, timeout=300,
