@@ -35,8 +35,7 @@ from .errors import (
     ReplikitError,
     UnsupportedFormatError,
 )
-from .io import parse_study_csv, serialize_study_csv
-from .meta import StudySummary, fixed_effect_pool
+from .meta import StudySummary, fixed_effect_pool, parse_study_csv, serialize_study_csv
 from .prediction import ReplicationDesign, back_solve_n, confirms, prediction_interval
 from .stats_core import ContaminationSpec, SampleSummary, normal_quantile, t_quantile
 

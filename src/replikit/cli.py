@@ -24,8 +24,8 @@ from typing import Mapping, Sequence
 
 from .effect_size import _BANDS, EffectSize, classify, cohens_d, confidence_interval, standard_error_d
 from .errors import ParseError, ReplikitError
-from .io import OutputFormat, Percent, Table, config_lines, parse_study_csv, render
-from .meta import fixed_effect_pool
+from .io import OutputFormat, Percent, Table, config_lines, render
+from .meta import fixed_effect_pool, parse_study_csv
 from .prediction import ReplicationDesign, confirms, prediction_interval
 from .stats_core import ContaminationSpec, SampleSummary
 from .svg import render_forest_svg, render_funnel_svg
