@@ -46,6 +46,17 @@ class _Parser(argparse.ArgumentParser):
         self._negative_number_matcher = re.compile(r"^-(\d+\.?\d*|\.\d+)([eE][+-]?\d+)?$")
 
 
+class _CommandParser(_Parser):
+    """A subcommand's parser, which refuses an unknown argument with its own
+    usage; one placed before the subcommand gets the top-level usage."""
+
+    def parse_known_args(self, args=None, namespace=None):
+        args, extra = super().parse_known_args(args, namespace)
+        if extra:
+            self.error(f"unrecognized arguments: {' '.join(extra)}")
+        return args, extra
+
+
 def _add_format(parser: argparse.ArgumentParser) -> None:
     parser.add_argument(
         "--format", choices=[f.value for f in OutputFormat], default="text",
@@ -76,7 +87,7 @@ def build_parser() -> argparse.ArgumentParser:
         prog=PROG,
         description="Effect-size, replication-simulation, and meta-analysis toolkit.",
     )
-    sub = parser.add_subparsers(dest="command", required=True)
+    sub = parser.add_subparsers(dest="command", required=True, parser_class=_CommandParser)
 
     p = sub.add_parser("effect", help="two-arm summaries -> d, se, CI, category")
     _add_format(p)
@@ -131,9 +142,6 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("path", help="study CSV file")
         p.add_argument("--output", metavar="PATH", help="write SVG here instead of stdout")
         p.set_defaults(handler=_cmd_plot, render=render)
-
-    for p in sub.choices.values():  # an unknown option is reported with its command's usage
-        p.set_defaults(parser=p)
     return parser
 
 
@@ -290,9 +298,7 @@ def _cmd_plot(args: argparse.Namespace) -> int:
 def main(argv: Sequence[str] | None = None) -> int:
     parser = build_parser()
     try:
-        args, extra = parser.parse_known_args(argv)
-        if extra:
-            args.parser.error(f"unrecognized arguments: {' '.join(extra)}")
+        args = parser.parse_args(argv)
     except SystemExit as exc:
         return int(exc.code or 0)
     try:

@@ -236,6 +236,8 @@ class SimulationConfig:
             raise DomainError(f"mu must be finite, got {self.mu}")
         if not (math.isfinite(self.sigma) and self.sigma > 0):
             raise DomainError(f"sigma must be finite and > 0, got {self.sigma}")
+        if not math.isfinite(self.true_effect_d):
+            raise DomainError(f"true_effect_d must be finite, got {self.true_effect_d}")
         if not 0 <= self.master_seed <= _UINT64_MAX:
             raise DomainError(f"master_seed must be a 64-bit unsigned integer, got {self.master_seed}")
 

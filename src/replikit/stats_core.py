@@ -151,13 +151,12 @@ def regularized_incomplete_beta(a: float, b: float, x: float) -> float:
         return 0.0
     if x == 1.0:
         return 1.0
-    ln_bt = (
-        _lgamma_shift(a, b)
-        - math.lgamma(b)
-        + a * math.log(x)
-        + b * math.log1p(-x)
-    )
-    bt = math.exp(ln_bt)
+    # -ln B(a, b), with Stirling's series on the larger parameter from 1000 on.
+    if b > a and b >= _STIRLING_MIN_A:
+        ln_bt = _lgamma_shift(b, a) - math.lgamma(a)
+    else:
+        ln_bt = _lgamma_shift(a, b) - math.lgamma(b)
+    bt = math.exp(ln_bt + a * math.log(x) + b * math.log1p(-x))
     if x < (a + 1.0) / (a + b + 2.0):
         return bt * _betacf(a, b, x) / a
     return 1.0 - bt * _betacf(b, a, 1.0 - x) / b

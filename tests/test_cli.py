@@ -220,15 +220,26 @@ def test_simulate_runs_too_many_for_an_array_exits_3_before_any_allocation(
     assert captured.err == f"replikit: error: runs must be at most {MAX_RUNS}, got {runs}\n"
 
 
-@pytest.mark.parametrize("effect", ["inf", "nan", "1e308", "1.7e308"])
-def test_simulate_non_finite_experiment_exits_3_with_one_line(effect, capsys):
+@pytest.mark.parametrize(
+    "effect, message",
+    [
+        # A non-finite effect is named before any draw.
+        ("inf", "true_effect_d must be finite, got inf"),
+        ("nan", "true_effect_d must be finite, got nan"),
+        # A finite one whose arm mean overflows is caught where the means are.
+        ("1e308", "mean and sd must be finite"),
+        ("1.7e308", "mean and sd must be finite"),
+    ],
+    ids=["inf", "nan", "1e308", "1.7e308"],
+)
+def test_simulate_non_finite_experiment_exits_3_with_one_line(effect, message, capsys):
     with warnings.catch_warnings(record=True) as caught:
         warnings.simplefilter("always")
         rc = main(["simulate", "--runs", "2", "--effect", effect])
     captured = capsys.readouterr()
     assert rc == 3
     assert captured.out == ""
-    assert captured.err == "replikit: error: mean and sd must be finite\n"
+    assert captured.err == f"replikit: error: {message}\n"
     # A warning would reach stderr as extra lines outside pytest.
     assert [str(w.message) for w in caught] == []
 
@@ -597,13 +608,19 @@ def test_meta_ambiguous_csv_exits_2(tmp_path, capsys):
 
 @pytest.mark.parametrize("command", ["meta", "forest", "funnel"])
 @pytest.mark.parametrize(
-    "row", ["s1,a,inf,4,,,,,0.1,0.2", "s1,a,-5,0,,,,,0.1,0.2", "s1,a,,,,,,,0.1,1e-200"]
+    "row, message",
+    [
+        ("s1,a,inf,4,,,,,0.1,0.2", "column 'n1' must be an integer, got 'inf'"),
+        ("s1,a,-5,0,,,,,0.1,0.2", "study 's1': n1 and n2 must be >= 2, got -5 and 0"),
+        ("s1,a,,,,,,,0.1,1e-200", "study 's1': se must be in [2^-511, 2^511]"),
+        ("a,a,,,,,,,nan,0.2", "study 'a': d must be finite\n"),
+    ],
 )
-def test_bad_study_row_exits_2(command, row, tmp_path, capsys):
+def test_bad_study_row_exits_2(command, row, message, tmp_path, capsys):
     path = tmp_path / "bad.csv"
     path.write_text(STUDY_HEADER + "\n" + row + "\n", encoding="utf-8")
     assert main([command, str(path)]) == 2
-    assert capsys.readouterr().err.startswith("replikit: error: row 1: ")
+    assert capsys.readouterr().err.startswith("replikit: error: row 1: " + message)
 
 
 @pytest.mark.parametrize("command", ["meta", "forest", "funnel"])
@@ -749,6 +766,26 @@ def test_an_unknown_option_is_reported_with_the_commands_usage(argv, study_file,
     assert err.endswith(f"\nreplikit {argv[0]}: error: unrecognized arguments: --nope\n")
     if argv[0] == "forest":
         assert err.splitlines()[0] == "usage: replikit forest [-h] [--level LEVEL] [--output PATH] path"
+
+
+@pytest.mark.parametrize(
+    "argv, usage, prog",
+    [
+        (["--nope", "meta", "{studies}"],
+         "usage: replikit [-h] {effect,simulate,pi,meta,forest,funnel} ...", "replikit"),
+        (["meta", "{studies}", "--nope"],
+         "usage: replikit meta [-h] [--format {text,csv,json}] [--level LEVEL] path",
+         "replikit meta"),
+    ],
+    ids=["before-the-command", "after-the-command"],
+)
+def test_an_unknown_option_is_shown_with_the_usage_of_the_parser_it_precedes_or_follows(
+    argv, usage, prog, study_file, capsys
+):
+    assert main([tok.format(studies=study_file) for tok in argv]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == f"{usage}\n{prog}: error: unrecognized arguments: --nope\n"
 
 
 def test_simulate_svg_is_an_invalid_choice_before_the_work(monkeypatch, capsys):

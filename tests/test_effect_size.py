@@ -79,6 +79,11 @@ def test_hedges_correction_applied_when_asked():
     assert math.isclose(corrected.se, j * plain.se, rel_tol=1e-12)
 
 
+def test_hedges_correction_below_df_2_rejected():
+    with pytest.raises(DomainError, match="df must be >= 2, got 1"):
+        hedges_correction(1)
+
+
 def test_hedges_j_approximation():
     # J ~= 1 - 3/(4*df - 1); at df=18 that is 0.95775
     assert abs(hedges_correction(18) - (1.0 - 3.0 / 71.0)) < 1e-3

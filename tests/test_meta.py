@@ -94,6 +94,12 @@ def test_q_square_that_float_power_cannot_hold_rejected():
         fixed_effect_pool([direct("a", 1e200, 1.0), direct("b", -1e200, 1.0)])
 
 
+@pytest.mark.parametrize("d", [math.inf, -math.inf, math.nan])
+def test_direct_d_that_is_not_finite_rejected(d):
+    with pytest.raises(DomainError, match="study 's': d must be finite"):
+        StudySummary("s", "s", d=d, se=0.3)
+
+
 @pytest.mark.parametrize("n1, n2", [(-5, 0), (30, 1), (1, 30)])
 def test_direct_form_arm_sizes_below_two_rejected(n1, n2):
     with pytest.raises(DomainError, match=">= 2"):

@@ -337,6 +337,11 @@ def equivalence_cases():
                 cases.append((d, Interval(d - half, d + half, level)))
     # a level so small that z = t = 0: every half-width is 0
     cases += [(0.0, Interval(-1.0, 1.0, 1e-17)), (0.0, Interval(0.0, 0.0, 1e-17))]
+    # the bisection meets a midpoint above the target (5 in 50,000 random
+    # inputs do); each of these solves to n = 8
+    for d, level, half in ((1.9, 0.998, 5.98), (1.62, 0.999, 6.3), (0.58, 0.996, 4.51),
+                           (-0.2, 0.999, 5.29)):
+        cases.append((d, Interval(d - half, d + half, level)))
     for _ in range(2000):
         d = float(rng.uniform(-3.0, 3.0))
         # 1e-4 is below every n = 1e7 half-width, 1e2 above every n = 4 one

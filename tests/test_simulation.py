@@ -258,6 +258,9 @@ def test_config_validation():
     for mu in (math.inf, -math.inf, math.nan):
         with pytest.raises(DomainError, match="mu must be finite"):
             small_config(mu=mu)
+    for effect in (math.inf, -math.inf, math.nan):
+        with pytest.raises(DomainError, match=f"^true_effect_d must be finite, got {effect}$"):
+            small_config(true_effect_d=effect)
 
 
 def test_n_per_arm_ceiling_is_checked_before_any_draw():

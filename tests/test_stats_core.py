@@ -222,6 +222,11 @@ def test_summarize_rejects_single_observation():
         summarize([5.0])
 
 
+def test_summarize_rejects_a_two_dimensional_sample():
+    with pytest.raises(DomainError, match="sample must be one-dimensional"):
+        summarize([[1.0, 2.0], [3.0, 4.0]])
+
+
 def test_summarize_permutation_invariant():
     x = draw_normal(derive_substream(3, 0).generator(), 10.0, 2.0, 501)
     a = summarize(x)
@@ -241,6 +246,18 @@ def test_betainc_against_scipy():
                 mine = regularized_incomplete_beta(a, b, x)
                 ref = special.betainc(a, b, x)
                 assert abs(mine - ref) < 1e-12, (a, b, x)
+
+
+@pytest.mark.parametrize("b", [1e3, 3.7e3, 1e4, 5.5e4, 1e5, 1e6, 5e6, 1e7])
+def test_betainc_with_the_large_parameter_in_b_matches_mpmath(b):
+    # Here lgamma(a + b) - lgamma(b) comes from Stirling's series on b; the
+    # cancelling lgamma pair was off by up to 2e-8 relative at b = 1e7. The
+    # points lie below the switch to the complement, x < (a + 1)/(a + b + 2).
+    for a in (0.5, 1.0, 1.5, 2.0):
+        for x in (0.01 / b, 0.1 / b, 1.0 / b):
+            with mpmath.workdps(40):
+                exact = mpmath.betainc(a, b, 0, x, regularized=True)
+            assert abs(regularized_incomplete_beta(a, b, x) / exact - 1) <= 1e-13, (a, b, x)
 
 
 def test_betainc_endpoints_and_domain():
@@ -369,6 +386,21 @@ def test_t_quantile_large_df_is_as_accurate_as_the_normal_quantile(df):
     # At the p every default interval uses, it is within 2.3e-16 of scipy too.
     ref = stats.t.ppf(0.975, df)
     assert abs(t_quantile(0.975, df) - ref) <= 2.3e-16 * ref
+
+
+@pytest.mark.parametrize(
+    "function, args, message",
+    [
+        (t_pdf, (0.0, -1), "df must be > 0, got -1"),
+        (t_cdf, (1.0, 0), "df must be > 0, got 0"),
+        (normal_quantile, (0.0,), "p must be in (0, 1), got 0.0"),
+        (normal_quantile, (1.0,), "p must be in (0, 1), got 1.0"),
+    ],
+)
+def test_t_density_cdf_and_normal_quantile_domain(function, args, message):
+    with pytest.raises(DomainError) as exc:
+        function(*args)
+    assert str(exc.value) == message
 
 
 def test_t_quantile_domain():
