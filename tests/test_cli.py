@@ -615,6 +615,7 @@ def test_meta_ambiguous_csv_exits_2(tmp_path, capsys):
         ("s1,a,,,,,,,0.1,1e-200", "study 's1': se must be in [2^-511, 2^511]"),
         ("a,a,,,,,,,nan,0.2", "study 'a': d must be finite\n"),
     ],
+    ids=["s1,a,inf,4,,,,,0.1,0.2", "s1,a,-5,0,,,,,0.1,0.2", "s1,a,,,,,,,0.1,1e-200", "a,a,,,,,,,nan,0.2"],
 )
 def test_bad_study_row_exits_2(command, row, message, tmp_path, capsys):
     path = tmp_path / "bad.csv"

@@ -250,9 +250,9 @@ def test_betainc_against_scipy():
 
 @pytest.mark.parametrize("b", [1e3, 3.7e3, 1e4, 5.5e4, 1e5, 1e6, 5e6, 1e7])
 def test_betainc_with_the_large_parameter_in_b_matches_mpmath(b):
-    # Here lgamma(a + b) - lgamma(b) comes from Stirling's series on b; the
-    # cancelling lgamma pair was off by up to 2e-8 relative at b = 1e7. The
-    # points lie below the switch to the complement, x < (a + 1)/(a + b + 2).
+    # lgamma(a + b) and lgamma(b) are near b*log(b) and cancel, so their
+    # difference must come from Stirling's series on b. The points lie below
+    # the switch to the complement, x < (a + 1)/(a + b + 2).
     for a in (0.5, 1.0, 1.5, 2.0):
         for x in (0.01 / b, 0.1 / b, 1.0 / b):
             with mpmath.workdps(40):
