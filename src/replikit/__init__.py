@@ -11,80 +11,59 @@ SVG renderers, the study table and batch export are imported from their
 modules (`replikit.stats_core`, `replikit.svg`, `replikit.meta`,
 `replikit.simulation`).
 
-Only the simulation engine needs numpy. Its six names here load it on first
-use, so importing the package, or running any other command, does not.
+Each name here is imported from its module on first use, so `import replikit`
+loads no submodule. Only the simulation engine needs numpy: its six names
+load it, and importing the package, or running any command but simulate,
+does not.
 """
-
-from .effect_size import (
-    EffectCategory,
-    EffectSize,
-    Interval,
-    cohens_d,
-    confidence_interval,
-    standard_error_d,
-)
-from .errors import (
-    ConvergenceError,
-    DegenerateSampleError,
-    DomainError,
-    InconsistentIntervalError,
-    InsufficientDataError,
-    NoSolutionError,
-    PairingError,
-    ParseError,
-    ReplikitError,
-    UnsupportedFormatError,
-)
-from .meta import StudySummary, fixed_effect_pool, parse_study_csv, serialize_study_csv
-from .prediction import ReplicationDesign, back_solve_n, confirms, prediction_interval
-from .stats_core import ContaminationSpec, SampleSummary, normal_quantile, t_quantile
 
 __version__ = "1.0.0"
 
-__all__ = [
-    "ContaminationSpec",
-    "ConvergenceError",
-    "DegenerateSampleError",
-    "DomainError",
-    "EffectCategory",
-    "EffectSize",
-    "InconsistentIntervalError",
-    "InsufficientDataError",
-    "Interval",
-    "NoSolutionError",
-    "PairingError",
-    "ParseError",
-    "ReplicationDesign",
-    "ReplikitError",
-    "SampleSummary",
-    "SimulationConfig",
-    "StudySummary",
-    "UnsupportedFormatError",
-    "back_solve_n",
-    "cohens_d",
-    "confidence_interval",
-    "confirms",
-    "fixed_effect_pool",
-    "normal_quantile",
-    "pair_replications",
-    "pairing_stream",
-    "parse_study_csv",
-    "prediction_interval",
-    "run_simulation",
-    "serialize_study_csv",
-    "standard_error_d",
-    "t_quantile",
-    "tabulate_categories",
-    "tabulate_sign_agreement",
-]
+# Each exported name and the module that defines it; ``__getattr__`` (PEP 562)
+# imports that module when the name is first looked up.
+_HOME = {
+    "ContaminationSpec": "stats_core",
+    "ConvergenceError": "errors",
+    "DegenerateSampleError": "errors",
+    "DomainError": "errors",
+    "EffectCategory": "effect_size",
+    "EffectSize": "effect_size",
+    "InconsistentIntervalError": "errors",
+    "InsufficientDataError": "errors",
+    "Interval": "effect_size",
+    "NoSolutionError": "errors",
+    "PairingError": "errors",
+    "ParseError": "errors",
+    "ReplicationDesign": "prediction",
+    "ReplikitError": "errors",
+    "SampleSummary": "stats_core",
+    "SimulationConfig": "simulation",
+    "StudySummary": "meta",
+    "UnsupportedFormatError": "errors",
+    "back_solve_n": "prediction",
+    "cohens_d": "effect_size",
+    "confidence_interval": "effect_size",
+    "confirms": "prediction",
+    "fixed_effect_pool": "meta",
+    "normal_quantile": "stats_core",
+    "pair_replications": "simulation",
+    "pairing_stream": "simulation",
+    "parse_study_csv": "meta",
+    "prediction_interval": "prediction",
+    "run_simulation": "simulation",
+    "serialize_study_csv": "meta",
+    "standard_error_d": "effect_size",
+    "t_quantile": "stats_core",
+    "tabulate_categories": "simulation",
+    "tabulate_sign_agreement": "simulation",
+}
 
-_ENGINE_NAMES = frozenset({"SimulationConfig", "pair_replications", "pairing_stream",
-                           "run_simulation", "tabulate_categories", "tabulate_sign_agreement"})
+__all__ = sorted(_HOME)
 
 
 def __getattr__(name: str):
-    if name in _ENGINE_NAMES:
-        from . import simulation
+    if name not in _HOME:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    from importlib import import_module
 
-        return getattr(simulation, name)
-    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    return getattr(import_module(f".{_HOME[name]}", __name__), name)

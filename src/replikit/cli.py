@@ -7,6 +7,9 @@ Every run echoes its effective configuration so any published number can be
 reproduced from the output alone: as ``# key value`` header lines in text, a
 "config" key in json, and on stderr in csv and for the plots.
 
+Building the parser loads none of the toolkit: each command imports the
+modules it uses when it runs, so only simulate loads numpy.
+
 Exit codes: 0 success, 2 input/parse error, 3 domain/precondition error
 (out of memory and integer overflow included), 4 numeric non-convergence.
 """
@@ -17,20 +20,11 @@ import argparse
 import os
 import re
 import sys
-from dataclasses import asdict
+from collections.abc import Mapping, Sequence
 from itertools import islice
 from pathlib import Path
-from typing import Mapping, Sequence
 
-from .effect_size import _BANDS, EffectSize, classify, cohens_d, confidence_interval, standard_error_d
 from .errors import ParseError, ReplikitError
-from .io import OutputFormat, Percent, Table, config_lines, render
-from .meta import fixed_effect_pool, parse_study_csv
-from .prediction import ReplicationDesign, confirms, prediction_interval
-from .stats_core import ContaminationSpec, SampleSummary
-from .svg import render_forest_svg, render_funnel_svg
-
-NAMED_EFFECTS = {"none": 0.0, "small": _BANDS[0]}
 
 PROG = "replikit"
 MAX_STUDY_BYTES = 256 * 2**20  # a larger study file or an endless stream is refused
@@ -59,7 +53,7 @@ class _CommandParser(_Parser):
 
 def _add_format(parser: argparse.ArgumentParser) -> None:
     parser.add_argument(
-        "--format", choices=[f.value for f in OutputFormat], default="text",
+        "--format", choices=["text", "csv", "json"], default="text",
         help="output format (default text)",
     )
 
@@ -136,24 +130,30 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("path", help="study CSV file")
     p.set_defaults(handler=_cmd_meta)
 
-    for name, render in (("forest", render_forest_svg), ("funnel", render_funnel_svg)):
+    for name in ("forest", "funnel"):
         p = sub.add_parser(name, help=f"study CSV -> {name} plot SVG")
         _add_level(p)
         p.add_argument("path", help="study CSV file")
         p.add_argument("--output", metavar="PATH", help="write SVG here instead of stdout")
-        p.set_defaults(handler=_cmd_plot, render=render)
+        p.set_defaults(handler=_cmd_plot)
     return parser
 
 
-def _emit(fmt: OutputFormat, config: Mapping[str, object], tables: Sequence[Table]) -> int:
-    out, err = render(fmt, config, tables)
+def _emit(fmt: str, config: Mapping[str, object], tables: Sequence[object]) -> int:
+    """Write the echo and the ``io.Table`` blocks in the ``--format`` named ``fmt``."""
+    from .io import OutputFormat, render
+
+    out, err = render(OutputFormat(fmt), config, tables)
     sys.stderr.write(err)
     sys.stdout.write(out)
     return 0
 
 
 def _cmd_effect(args: argparse.Namespace) -> int:
-    fmt = OutputFormat(args.format)
+    from .effect_size import classify, cohens_d, confidence_interval
+    from .io import Table
+    from .stats_core import SampleSummary
+
     arm1 = SampleSummary(n=args.n1, mean=args.mean1, sd=args.sd1)
     arm2 = SampleSummary(n=args.n2, mean=args.mean2, sd=args.sd2)
     effect = cohens_d(arm1, arm2, hedges=args.hedges)
@@ -169,13 +169,16 @@ def _cmd_effect(args: argparse.Namespace) -> int:
         ("ci_lower", ci.lower), ("ci_upper", ci.upper),
         ("category", classify(effect.d)),
     ]
-    return _emit(fmt, config, [Table(rows)])
+    return _emit(args.format, config, [Table(rows)])
 
 
 def _true_effect(text: str) -> float:
+    from .effect_size import _BANDS
+
     key = text.strip().lower()
-    if key in NAMED_EFFECTS:
-        return NAMED_EFFECTS[key]
+    named = {"none": 0.0, "small": _BANDS[0]}
+    if key in named:
+        return named[key]
     try:
         return float(text)
     except ValueError:
@@ -183,13 +186,15 @@ def _true_effect(text: str) -> float:
 
 
 def _cmd_simulate(args: argparse.Namespace) -> int:
+    from dataclasses import asdict
+
     # The engine loads numpy; only this command pays for it.
     from . import simulation as sim
+    from .io import Percent, Table
 
-    fmt = OutputFormat(args.format)
     spec = None
     if args.dist == "mixed":
-        spec = ContaminationSpec(epsilon=args.epsilon, scale_mult=args.scale_mult)
+        spec = sim.ContaminationSpec(epsilon=args.epsilon, scale_mult=args.scale_mult)
     config = sim.SimulationConfig(
         runs=args.runs,
         n_per_arm=args.n_per_arm,
@@ -223,11 +228,14 @@ def _cmd_simulate(args: argparse.Namespace) -> int:
         Table(list(asdict(signs).items()), title=("quadrant", "count"), json_path=("sign_agreement",)),
         Table(list(asdict(box).items()), json_path=("boxplot",), name=("scenario", label)),
     ]
-    return _emit(fmt, echo, tables)
+    return _emit(args.format, echo, tables)
 
 
 def _cmd_pi(args: argparse.Namespace) -> int:
-    fmt = OutputFormat(args.format)
+    from .effect_size import EffectSize, standard_error_d
+    from .io import Table
+    from .prediction import ReplicationDesign, confirms, prediction_interval
+
     se = args.se if args.se is not None else standard_error_d(args.d, args.n1, args.n2)
     original = EffectSize(d=args.d, se=se, n1=args.n1, n2=args.n2)
     design = ReplicationDesign(
@@ -242,7 +250,7 @@ def _cmd_pi(args: argparse.Namespace) -> int:
     rows: list[tuple[str, object]] = [("pi_lower", interval.lower), ("pi_upper", interval.upper)]
     if args.check is not None:
         rows += [("d_rep", args.check), ("confirms", confirms(interval, args.check))]
-    return _emit(fmt, config, [Table(rows)])
+    return _emit(args.format, config, [Table(rows)])
 
 
 def _check_output(args: argparse.Namespace) -> None:
@@ -254,6 +262,13 @@ def _check_output(args: argparse.Namespace) -> None:
         open(path, "ab").close()  # appending truncates nothing
         if made:
             os.unlink(path)
+
+
+def parse_study_csv(data: bytes):
+    """``meta.parse_study_csv``, imported when a study command runs."""
+    from .meta import parse_study_csv
+
+    return parse_study_csv(data)
 
 
 def _read_studies(args: argparse.Namespace):
@@ -273,6 +288,9 @@ def _study_config(args: argparse.Namespace, studies: Sequence[object]) -> dict[s
 
 
 def _cmd_meta(args: argparse.Namespace) -> int:
+    from .io import Table
+    from .meta import fixed_effect_pool
+
     studies = _read_studies(args)
     result = fixed_effect_pool(studies, level=args.level)
     rows = [
@@ -281,12 +299,17 @@ def _cmd_meta(args: argparse.Namespace) -> int:
         ("q", result.q_statistic), ("i_squared", result.i_squared),
         ("weights", result.weights),
     ]
-    return _emit(OutputFormat(args.format), _study_config(args, studies), [Table(rows)])
+    return _emit(args.format, _study_config(args, studies), [Table(rows)])
 
 
 def _cmd_plot(args: argparse.Namespace) -> int:
+    from . import svg
+    from .io import config_lines
+    from .meta import fixed_effect_pool
+
     studies = _read_studies(args)
-    svg_text = args.render(fixed_effect_pool(studies, level=args.level))
+    render = svg.render_forest_svg if args.command == "forest" else svg.render_funnel_svg
+    svg_text = render(fixed_effect_pool(studies, level=args.level))
     if args.output:
         Path(args.output).write_text(svg_text, encoding="utf-8")
     else:

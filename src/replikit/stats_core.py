@@ -263,9 +263,11 @@ def t_quantile(p: float, df: float) -> float:
     float
         x such that ``t_cdf(x, df) == p`` to within 1e-10 or better.
 
-    Below df 1e4, solved by a safeguarded Newton iteration on the CDF inside
-    a bisection bracket, started from the normal quantile, and by bisection
-    alone after 50 steps. From df 1e4 on, where ``_t_series``' truncation
+    At df 1 and 2 it is the closed form, formed from ``1 - p`` in the upper
+    tail so that it does not cancel there. Otherwise, below df 1e4, it is
+    solved by a safeguarded Newton iteration on the CDF inside a bisection
+    bracket, started from the normal quantile, and by bisection alone after
+    50 steps. From df 1e4 on, where ``_t_series``' truncation
     error is below rounding and the CDF's rounding noise grows toward the
     tolerance, it is ``_t_series`` at the normal quantile, as accurate as
     ``normal_quantile`` itself. Antisymmetry
@@ -279,6 +281,11 @@ def t_quantile(p: float, df: float) -> float:
         return 0.0
     if p < 0.5:
         return -t_quantile(1.0 - p, df)
+    # Closed forms at df 1 and 2, from p - 0.5 and 1 - p, both exact here.
+    if df == 1.0:
+        return math.tan(math.pi * (p - 0.5)) if p < 0.75 else 1.0 / math.tan(math.pi * (1.0 - p))
+    if df == 2.0:
+        return 2.0 * (p - 0.5) / math.sqrt(2.0 * p * (1.0 - p))
     if df >= _T_SERIES_MIN_DF:
         return _t_series(normal_quantile(p), df)
 

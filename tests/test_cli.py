@@ -12,6 +12,7 @@ import pytest
 
 from replikit import cli, standard_error_d
 from replikit.cli import main
+from replikit.io import OutputFormat
 from replikit.simulation import MAX_RUNS
 
 SRC = str(Path(cli.__file__).resolve().parents[1])
@@ -568,6 +569,7 @@ CAPPED_MAIN = """import resource, sys
 limit = int(sys.argv[1]) * 2**20
 resource.setrlimit(resource.RLIMIT_AS, (limit, limit))
 from replikit.cli import main
+from replikit.io import OutputFormat
 sys.exit(main(sys.argv[2:]))
 """
 
@@ -723,6 +725,14 @@ def test_each_command_takes_only_the_options_it_reads():
         assert [s for a in sub._actions for s in a.option_strings] == OPTIONS[name], name
         formats = [a.choices for a in sub._actions if a.dest == "format"]
         assert formats == ([] if name in ("forest", "funnel") else [["text", "csv", "json"]])
+
+
+def test_format_choices_are_the_renderer_formats():
+    # cli writes the choices out, so that building the parser loads no io.
+    parser = cli.build_parser()
+    subparsers = next(a for a in parser._actions if isinstance(a, argparse._SubParsersAction))
+    choices = [a.choices for sub in subparsers.choices.values() for a in sub._actions if a.dest == "format"]
+    assert choices == [[f.value for f in OutputFormat]] * 4
 
 
 @pytest.mark.parametrize(

@@ -1,0 +1,55 @@
+"""The engine's category counts against their exact probabilities.
+
+Under the normal model with n units per arm, d * sqrt(n/2) is noncentral t
+with 2n - 2 degrees of freedom and noncentrality delta * sqrt(n/2), so each
+of the seven category bins has an exact probability (``scipy.stats.nct``).
+Each batch's counts are held to them by a chi-square test whose false-alarm
+rate is 1e-6. The seeds were fixed before the first run. Small arms are where
+the test has power: at n = 5 a ddof-0 sd inflates every d by sqrt(5/4).
+"""
+
+import math
+
+import numpy as np
+import pytest
+from scipy import stats
+
+from replikit.effect_size import _BANDS
+from replikit.simulation import SimulationConfig, run_simulation, tabulate_categories
+
+RUNS = 20_000
+FALSE_ALARM = 1e-6
+MIN_EXPECTED = 5.0
+
+
+def exact_category_probabilities(n: int, delta: float) -> np.ndarray:
+    """P(d in each category), in ``EffectCategory`` order, for n per arm."""
+    scale = math.sqrt(n / 2.0)
+    edges = np.array([-b for b in reversed(_BANDS)] + list(_BANDS)) * scale
+    cdf = stats.nct.cdf(edges, 2 * n - 2, delta * scale)
+    return np.diff(np.concatenate(([0.0], cdf, [1.0])))
+
+
+def pool_tails(expected: list[float], observed: list[int]) -> tuple[list[float], list[int]]:
+    """Merge each tail bin into its neighbour until it expects ``MIN_EXPECTED``
+    counts, so that the chi-square approximation holds in every bin."""
+    for end in (0, -1):
+        while expected[end] < MIN_EXPECTED:
+            e, o = expected.pop(end), observed.pop(end)
+            expected[end] += e
+            observed[end] += o
+    return expected, observed
+
+
+@pytest.mark.parametrize(
+    "n, delta, seed", [(5, 0.0, 2101), (5, 0.5, 2102), (30, 0.0, 2103), (30, 0.5, 2104)]
+)
+def test_category_counts_match_the_noncentral_t(n, delta, seed):
+    config = SimulationConfig(runs=RUNS, n_per_arm=n, true_effect_d=delta, master_seed=seed)
+    observed = [round(f * RUNS) for f in tabulate_categories(run_simulation(config)).values()]
+    expected = list(RUNS * exact_category_probabilities(n, delta))
+    expected, observed = pool_tails(expected, observed)
+    assert min(expected) >= MIN_EXPECTED and len(expected) >= 3
+    chi2 = sum((o - e) ** 2 / e for o, e in zip(observed, expected))
+    p_value = stats.chi2.sf(chi2, len(expected) - 1)
+    assert p_value > FALSE_ALARM, (observed, [round(e, 1) for e in expected], chi2)

@@ -388,6 +388,26 @@ def test_t_quantile_large_df_is_as_accurate_as_the_normal_quantile(df):
     assert abs(t_quantile(0.975, df) - ref) <= 2.3e-16 * ref
 
 
+# p from 1/2 + 1e-12 to 1 - 1e-13, log-spaced toward both ends.
+P_GRID_FAR = [0.5 + h for h in np.logspace(-12, math.log10(0.49), 25)] + [
+    1.0 - q for q in np.logspace(-2, -13, 25)
+]
+
+
+@pytest.mark.parametrize("df", [1, 2])
+def test_t_quantile_closed_forms_at_df_1_and_2(df):
+    # Through the CDF, 1 - I/2 cancelled in the tail: at p = 1 - 1e-13 the
+    # quantile was 21 % off at df 1 and 7.7 % at df 2.
+    for p in P_GRID_FAR:
+        x = t_quantile(p, df)
+        if df == 1 and p < 0.5 + 1e-6:
+            # scipy's t.ppf at df 1 is itself off here: 8e-6 relative at
+            # 1/2 + 1e-12 and 4.3e-10 at 1/2 + 1e-7, against mpmath.
+            assert t_quantile_rel_error(x, p, df) <= 1e-10, p
+        else:
+            assert abs(x - stats.t.ppf(p, df)) <= 1e-10 * x, p
+
+
 @pytest.mark.parametrize(
     "function, args, message",
     [
