@@ -569,7 +569,6 @@ CAPPED_MAIN = """import resource, sys
 limit = int(sys.argv[1]) * 2**20
 resource.setrlimit(resource.RLIMIT_AS, (limit, limit))
 from replikit.cli import main
-from replikit.io import OutputFormat
 sys.exit(main(sys.argv[2:]))
 """
 
