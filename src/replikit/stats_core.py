@@ -3,9 +3,10 @@ spec, Student-t / normal quantiles, and ``_square``, the one overflow-safe
 float square behind d's pooled sd, the prediction half-width and Cochran's Q.
 
 The t distribution is evaluated through the regularized incomplete beta
-function (continued fraction), and its quantile from df 1e4 on through the
-expansion about the normal quantile, so the package needs no external
-statistics dependency and the quantile can be checked against an
+function (continued fraction). Its quantile is Newton's method on that CDF
+from the expansion about the normal quantile (from the leading tail term
+below df 1), and from df 1e4 on the expansion alone, so the package needs no
+external statistics dependency and the quantile can be checked against an
 integration oracle.
 Nothing here imports numpy; the random streams and draws live with the
 engine in ``replikit.simulation``.
@@ -236,14 +237,13 @@ def _t_series(z: float, df: float) -> float:
     return z + (g1 + (g2 + (g3 + g4 / df) / df) / df) / df
 
 
-_T_QUANTILE_TOL = 1e-13
 _T_QUANTILE_MAX_ITER = 200
 # From this df on, t_quantile is the series about the normal quantile, whose
 # omitted terms are below rounding there; the CDF's rounding noise grows with
 # df (about 1e-10 near df 1e6). Below it, where that noise can still exceed
-# the tolerance, Newton steps can wander inside the bracket without shrinking
-# it; after this many steps the refinement bisects, which halves the bracket
-# each step.
+# the 1e-15 step stop, Newton steps can wander inside the bracket without
+# shrinking it; after this many steps the refinement bisects, which halves
+# the bracket each step.
 _T_SERIES_MIN_DF = 1e4
 _T_QUANTILE_NEWTON_ITER = 50
 
@@ -264,13 +264,18 @@ def t_quantile(p: float, df: float) -> float:
         x such that ``t_cdf(x, df) == p`` to within 1e-10 or better.
 
     At df 1 and 2 it is the closed form, formed from ``1 - p`` in the upper
-    tail so that it does not cancel there. Otherwise, below df 1e4, it is
-    solved by a safeguarded Newton iteration on the CDF inside a bisection
-    bracket, started from the normal quantile, and by bisection alone after
-    50 steps. From df 1e4 on, where ``_t_series``' truncation
-    error is below rounding and the CDF's rounding noise grows toward the
-    tolerance, it is ``_t_series`` at the normal quantile, as accurate as
-    ``normal_quantile`` itself. Antisymmetry
+    tail so that it does not cancel there. From df 1e4 on, where
+    ``_t_series``' truncation error is below rounding and the CDF's rounding
+    noise grows, it is ``_t_series`` at the normal quantile, as accurate as
+    ``normal_quantile`` itself. Otherwise Newton's method on the CDF refines
+    a start: ``_t_series`` at the normal quantile from df 1 (Hill's
+    expansion, CACM Algorithm 396, 1970), and below df 1 the quantile of the
+    upper tail's leading term, (df/x^2)^(df/2) / ((df/2) B(df/2, 1/2)). A
+    step that leaves the bracket the CDFs so far have set bisects it, or
+    doubles x while none has reached p; after 50 steps it only bisects. It
+    returns after a step below 1e-15 relative, or where the CDF is p
+    exactly, and raises ``ConvergenceError`` where x**2 overflows, which the
+    CDF cannot tell from infinity (the far tail below df 0.08). Antisymmetry
     ``t_quantile(1 - p, df) == -t_quantile(p, df)`` holds exactly.
     """
     if not 0.0 < p < 1.0:
@@ -286,24 +291,22 @@ def t_quantile(p: float, df: float) -> float:
         return math.tan(math.pi * (p - 0.5)) if p < 0.75 else 1.0 / math.tan(math.pi * (1.0 - p))
     if df == 2.0:
         return 2.0 * (p - 0.5) / math.sqrt(2.0 * p * (1.0 - p))
-    if df >= _T_SERIES_MIN_DF:
-        return _t_series(normal_quantile(p), df)
-
-    # Bracket [lo, hi] with F(lo) < p <= F(hi), lo >= 0.
-    z = normal_quantile(p)
-    lo, hi = 0.0, max(z, 1.0)
-    for _ in range(_T_QUANTILE_MAX_ITER):
-        if t_cdf(hi, df) >= p:
-            break
-        lo = hi
-        hi *= 2.0
+    if df < 1.0:
+        # The leading tail term: 2(1 - p) ~ (df/x^2)^(df/2) / ((df/2) B(df/2, 1/2)).
+        ln_x = 0.5 * math.log(df) - (
+            math.log((1.0 - p) * df * math.sqrt(math.pi)) - _lgamma_shift(0.5 * df, 0.5)) / df
+        x = math.exp(min(ln_x, 709.0))
     else:
-        raise ConvergenceError(f"failed to bracket t quantile (p={p}, df={df})")
-
-    x = min(max(z, lo + 0.25 * (hi - lo)), hi)
+        x = _t_series(normal_quantile(p), df)
+        if df >= _T_SERIES_MIN_DF:
+            return x
+    # [lo, hi] brackets the root; hi stays inf until a CDF reaches p.
+    lo, hi = 0.0, math.inf
     for step in range(_T_QUANTILE_MAX_ITER):
+        if x * x == math.inf:
+            raise ConvergenceError(f"t quantile overflows: x**2 exceeds the float range (p={p}, df={df})")
         fx = t_cdf(x, df) - p
-        if abs(fx) <= _T_QUANTILE_TOL:
+        if fx == 0.0:
             return x
         if fx > 0:
             hi = x
@@ -315,7 +318,7 @@ def t_quantile(p: float, df: float) -> float:
             x_new = x - fx / dens
             step_ok = lo < x_new < hi
         if not step_ok:
-            x_new = 0.5 * (lo + hi)
+            x_new = 0.5 * (lo + hi) if hi < math.inf else 2.0 * x
         if abs(x_new - x) <= 1e-15 * max(1.0, abs(x)):
             return x_new
         x = x_new

@@ -11,6 +11,7 @@ tolerances were set from measured deviations with a 10-100x safety factor.
 
 import math
 import random
+import sys
 
 import mpmath
 import numpy as np
@@ -28,6 +29,7 @@ from replikit import (
     normal_quantile,
     t_quantile,
 )
+from replikit import stats_core
 from replikit.simulation import (
     RandomStream,
     derive_substream,
@@ -406,6 +408,74 @@ def test_t_quantile_closed_forms_at_df_1_and_2(df):
             assert t_quantile_rel_error(x, p, df) <= 1e-10, p
         else:
             assert abs(x - stats.t.ppf(p, df)) <= 1e-10 * x, p
+
+
+# The quantiles the replication workload asks for: df 2m - 2 for m = 5..400
+# units per arm, at the levels 0.8, 0.9, 0.95 and 0.99.
+REPLICATION_GRID = [(p, 2 * m - 2) for m in range(5, 401) for p in (0.9, 0.95, 0.975, 0.995)]
+
+
+def test_t_quantile_takes_few_cdf_evaluations_on_the_replication_grid(monkeypatch):
+    # Newton from the series start reads 4.92 CDF evaluations a quantile; a
+    # doubling bracket and a start at the normal quantile took 9.57.
+    calls = 0
+
+    def counting_t_cdf(x, df):
+        nonlocal calls
+        calls += 1
+        return t_cdf(x, df)
+
+    monkeypatch.setattr(stats_core, "t_cdf", counting_t_cdf)
+    for p, df in REPLICATION_GRID:
+        t_quantile(p, df)
+    assert calls / len(REPLICATION_GRID) <= 5.5, calls / len(REPLICATION_GRID)
+
+
+def test_t_quantile_on_the_replication_grid_is_polished():
+    # Every return follows a Newton step below 1e-15 relative. The worst point
+    # reads 1.5e-12 (2.3e-12 with the old stop at |F - p| <= 1e-13); a start
+    # returned unpolished would read up to 1e-3 at df 8 (test_t_series_known_answers).
+    worst = max(t_quantile_rel_error(t_quantile(p, df), p, df) for p, df in REPLICATION_GRID)
+    assert worst <= 2e-12, worst
+
+
+def leading_tail_quantile(p, df):
+    """sqrt(df) * (2(1 - p)(df/2) B(df/2, 1/2))^(-1/df) in mpmath: the quantile
+    from the leading term of the upper tail, I_y(a, b) ~ y^a / (a B(a, b))."""
+    with mpmath.workdps(30):
+        df = mpmath.mpf(df)
+        base = 2 * (1 - mpmath.mpf(p)) * df / 2 * mpmath.beta(df / 2, 0.5)
+        return mpmath.sqrt(df) * base ** (-1 / df)
+
+
+def test_t_quantile_returns_across_df_unless_its_square_overflows():
+    # 60 log-spaced df from 0.05 to 9,999 by P_GRID_FAR. The doubling bracket
+    # stopped at 2^200 and raised at 103 of these points. Below df 1 the start
+    # is now the leading tail term, and only the 21 points whose quantile
+    # squared exceeds the float range raise, all at df below 0.08; t_cdf
+    # cannot tell such an x from infinity.
+    root_max = math.sqrt(sys.float_info.max)
+    for df in np.logspace(math.log10(0.05), math.log10(9999), 60):
+        for p in P_GRID_FAR:
+            try:
+                x = t_quantile(p, df)
+            except ConvergenceError as exc:
+                assert "overflows" in str(exc), (p, df)
+                assert leading_tail_quantile(p, df) > root_max, (p, df)
+            else:
+                assert 0.0 < x < root_max, (p, df)
+
+
+@pytest.mark.parametrize(
+    "p, df, ref",
+    [(1 - 1e-5, 0.05, 1.0876044676991758e93), (1 - 1e-10, 0.5, 1.028490986120881e19),
+     (1 - 1e-13, 0.5, 1.0278518457671937e25), (1 - 1e-13, 0.9, 76608849437509.55)],
+)
+def test_t_quantile_far_tail_below_df_1(p, df, ref):
+    # scipy's t.isf. The bracket stopped at 2^200 and raised at the first point,
+    # and at 1 - 1e-13 the cancelling CDF left the quantile 8 % off at df 0.5;
+    # from the leading tail term, Newton starts within rounding of it.
+    assert abs(t_quantile(p, df) - ref) <= 1e-13 * ref
 
 
 @pytest.mark.parametrize(
