@@ -311,8 +311,8 @@ def test_t_quantile_against_scipy():
      (0.7299947834741509, 547962), (0.5230485802352529, 379582)],
 )
 def test_t_quantile_converges_through_cdf_noise_at_large_df(p, df):
-    # The CDF's rounding noise here exceeds the 1e-13 tolerance, and Newton
-    # alone wandered inside its bracket until the step cap (ConvergenceError).
+    # The CDF's rounding noise here exceeds 1e-13, and Newton under an
+    # absolute 1e-13 stop wandered inside its bracket until the step cap (ConvergenceError).
     # From df 1e4 on the quantile is the series, which has no such noise.
     assert abs(t_quantile(p, df) - stats.t.ppf(p, df)) <= 1e-7 * stats.t.ppf(p, df)
 
