@@ -293,8 +293,8 @@ def t_quantile(p: float, df: float) -> float:
         return 2.0 * (p - 0.5) / math.sqrt(2.0 * p * (1.0 - p))
     if df < 1.0:
         # The leading tail term: 2(1 - p) ~ (df/x^2)^(df/2) / ((df/2) B(df/2, 1/2)).
-        ln_x = 0.5 * math.log(df) - (
-            math.log((1.0 - p) * df * math.sqrt(math.pi)) - _lgamma_shift(0.5 * df, 0.5)) / df
+        ln_x = 0.5 * math.log(df) - (math.log((1.0 - p) * math.sqrt(math.pi)) + math.log(df)
+                                     - _lgamma_shift(0.5 * df, 0.5)) / df
         x = math.exp(min(ln_x, 709.0))
     else:
         x = _t_series(normal_quantile(p), df)
