@@ -466,6 +466,13 @@ def test_t_quantile_returns_across_df_unless_its_square_overflows():
                 assert 0.0 < x < root_max, (p, df)
 
 
+def test_t_quantile_at_a_subnormal_df_raises_the_overflow():
+    # Formed as log((1 - p) * df * sqrt(pi)), the start's logarithm underflowed
+    # to log(0) here and raised ValueError.
+    with pytest.raises(ConvergenceError, match="overflows"):
+        t_quantile(1 - 1e-13, 1e-315)
+
+
 @pytest.mark.parametrize(
     "p, df, ref",
     [(1 - 1e-5, 0.05, 1.0876044676991758e93), (1 - 1e-10, 0.5, 1.028490986120881e19),
