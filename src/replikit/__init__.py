@@ -39,7 +39,6 @@ _HOME = {
     "SampleSummary": "stats_core",
     "SimulationConfig": "simulation",
     "StudySummary": "meta",
-    "UnsupportedFormatError": "errors",
     "back_solve_n": "prediction",
     "cohens_d": "effect_size",
     "confidence_interval": "effect_size",

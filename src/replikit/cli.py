@@ -5,7 +5,10 @@ what each takes. Only simulate draws, so only it takes ``--seed``; forest and
 funnel write SVG only, and the four others take ``--format text|csv|json``.
 Every run echoes its effective configuration so any published number can be
 reproduced from the output alone: as ``# key value`` header lines in text, a
-"config" key in json, and on stderr in csv and for the plots.
+"config" key in json, and on stderr in csv and for the plots. The echo names
+only what shaped the output: simulate's scenario label is the echoed true
+effect and the distribution (``0.2-normal`` for ``--effect small``), and it
+takes ``--epsilon`` and ``--scale-mult`` only with ``--dist mixed``.
 
 Building the parser loads none of the toolkit: each command imports the
 modules it uses when it runs, so only simulate loads numpy.
@@ -104,10 +107,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--n-per-arm", type=int, default=30)
     p.add_argument("--effect", default="none", help="true effect: none, small, or a number")
     p.add_argument("--dist", choices=["normal", "mixed"], default="normal")
-    p.add_argument("--epsilon", type=float, default=0.1, help="mixed: contamination probability")
-    p.add_argument("--scale-mult", type=float, default=10.0, help="mixed: outlier sd multiplier")
-    p.add_argument("--mu", type=float, default=100.0)
-    p.add_argument("--sigma", type=float, default=20.0)
+    p.add_argument("--epsilon", type=float, help="mixed: contamination probability")
+    p.add_argument("--scale-mult", type=float, help="mixed: outlier sd multiplier")
     p.add_argument("--workers", type=int, default=1)
     p.add_argument("--dump-batch", metavar="PATH", help="also write per-experiment CSV here")
     p.set_defaults(handler=_cmd_simulate)
@@ -188,18 +189,19 @@ def _true_effect(text: str) -> float:
 def _cmd_simulate(args: argparse.Namespace) -> int:
     from dataclasses import asdict
 
+    given = {"epsilon": args.epsilon, "scale_mult": args.scale_mult}
+    mixture = {k: v for k, v in given.items() if v is not None}
+    if mixture and args.dist != "mixed":
+        raise ParseError("--epsilon and --scale-mult apply only with --dist mixed")
+
     # The engine loads numpy; only this command pays for it.
     from . import simulation as sim
     from .io import Percent, Table
 
-    spec = None
-    if args.dist == "mixed":
-        spec = sim.ContaminationSpec(epsilon=args.epsilon, scale_mult=args.scale_mult)
+    spec = sim.ContaminationSpec(**mixture) if args.dist == "mixed" else None
     config = sim.SimulationConfig(
         runs=args.runs,
         n_per_arm=args.n_per_arm,
-        mu=args.mu,
-        sigma=args.sigma,
         true_effect_d=_true_effect(args.effect),
         contamination=spec,
         master_seed=args.seed,
@@ -207,14 +209,14 @@ def _cmd_simulate(args: argparse.Namespace) -> int:
     batch = sim.run_simulation(config, workers=args.workers)
     categories = sim.tabulate_categories(batch)
     signs = sim.tabulate_sign_agreement(sim.pair_replications(batch, sim.pairing_stream(config)))
-    label = f"{args.effect.strip()}-{args.dist}"
+    label = f"{config.true_effect_d!r}-{args.dist}"
     box = sim.boxplot_summary(batch)
     if args.dump_batch:
         Path(args.dump_batch).write_text(sim.batch_to_csv(batch), encoding="utf-8")
 
     echo = {
-        "runs": config.runs, "n_per_arm": config.n_per_arm,
-        "mu": config.mu, "sigma": config.sigma, "true_effect_d": config.true_effect_d,
+        "command": "simulate", "runs": config.runs, "n_per_arm": config.n_per_arm,
+        "true_effect_d": config.true_effect_d,
         "epsilon": None if spec is None else spec.epsilon,
         "scale_mult": None if spec is None else spec.scale_mult,
         "master_seed": config.master_seed, "workers": args.workers,

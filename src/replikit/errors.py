@@ -8,13 +8,9 @@ class ReplikitError(Exception):
 
 
 class ParseError(ReplikitError, ValueError):
-    """Malformed or ambiguous input data (CSV rows, formats). Exit code 2."""
+    """Malformed or ambiguous input (CSV rows, option values). Exit code 2."""
 
     exit_code = 2
-
-
-class UnsupportedFormatError(ParseError):
-    """Requested output format is not valid for this command or table."""
 
 
 class DomainError(ReplikitError, ValueError):

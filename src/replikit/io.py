@@ -19,7 +19,6 @@ from enum import Enum
 from typing import Mapping, Sequence
 
 from .effect_size import EffectCategory, category_label
-from .errors import UnsupportedFormatError
 
 
 class OutputFormat(Enum):
@@ -59,8 +58,6 @@ def config_lines(config: Mapping[str, object]) -> str:
 
 def _cell(value: object, fmt: OutputFormat) -> object:
     """One key or value as ``fmt`` shows it."""
-    if not isinstance(value, (str, int, float, tuple, EffectCategory)):
-        raise UnsupportedFormatError(f"cannot render a value of type {type(value).__name__}")
     if fmt is OutputFormat.JSON:
         if isinstance(value, EffectCategory):
             return value.value

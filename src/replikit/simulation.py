@@ -215,7 +215,9 @@ def cohens_d_rows(
 
 @dataclass(frozen=True)
 class SimulationConfig:
-    """Scenario parameters for a batch of simulated experiments."""
+    """Scenario parameters for a batch of simulated experiments. ``mu`` and
+    ``sigma`` are for library callers only: draws are standardized, so they do
+    not move d, and the CLI neither takes nor echoes them."""
 
     runs: int = 10000
     n_per_arm: int = 30

@@ -141,7 +141,7 @@ def test_simulate_text_output(capsys):
     assert "# master_seed 42" in out
     assert "category" in out
     assert "quadrant" in out
-    assert "none-normal" in out
+    assert "scenario      0.0-normal\n" in out
 
 
 def test_simulate_csv_output(capsys):
@@ -162,7 +162,7 @@ def test_simulate_json_output(capsys):
     assert set(data["sign_agreement"]) == {"mm", "mp", "pm", "pp"}
     assert sum(data["sign_agreement"].values()) == 25
     assert abs(sum(data["categories"].values()) - 1.0) < 1e-9
-    assert "small-normal" in data["boxplot"]
+    assert "0.2-normal" in data["boxplot"]
 
 
 def test_simulate_workers_do_not_change_results(capsys):
@@ -280,8 +280,8 @@ def test_simulate_padded_effect_gives_the_unpadded_output(effect, fmt, capsys):
     plain = capsys.readouterr()
     assert main(["simulate", "--runs", "10", "--format", fmt, "--effect", effect]) == 0
     assert capsys.readouterr() == plain
-    if fmt == "text":
-        assert f"scenario      {effect.strip()}-normal\n" in plain.out
+    if fmt == "text":  # the label is the echoed effect, not the text given
+        assert "scenario      0.2-normal\n" in plain.out
 
 
 def test_simulate_bad_effect_name_exits_2(capsys):
@@ -388,20 +388,27 @@ def test_pi_tiny_arm_exits_3(capsys):
     assert "error" in capsys.readouterr().err
 
 
+SEED_BOUND = "master_seed must be a 64-bit unsigned integer, got"
+MIXED_ONLY = "--epsilon and --scale-mult apply only with --dist mixed"
+
+
 @pytest.mark.parametrize(
-    "argv, message",
+    "argv, code, message",
     [
-        (["simulate", "--mu", "nan", "--sigma", "inf"], "mu must be finite, got nan"),
-        (["simulate", "--sigma", "inf"], "sigma must be finite and > 0, got inf"),
-        (["simulate", "--dist", "mixed", "--epsilon", "0", "--scale-mult", "inf"],
+        (["simulate", "--dist", "mixed", "--epsilon", "0", "--scale-mult", "inf"], 3,
          "scale_mult must be finite and > 1, got inf"),
-        (PI_ARGS + ["--check", "nan"], "d_rep must be finite, got nan"),
-        (["simulate", "--runs", "2", "--n-per-arm", "1000001"],
+        (PI_ARGS + ["--check", "nan"], 3, "d_rep must be finite, got nan"),
+        (["simulate", "--runs", "2", "--n-per-arm", "1000001"], 3,
          "n_per_arm must be in [2, 1000000], got 1000001"),
+        (["simulate", "--runs", "2", "--seed", "-1"], 3, f"{SEED_BOUND} -1"),
+        (["simulate", "--runs", "2", "--seed", str(2**64)], 3, f"{SEED_BOUND} {2**64}"),
+        # Under the default normal draws the contamination options shape nothing.
+        (["simulate", "--runs", "10", "--epsilon", "5"], 2, MIXED_ONLY),
+        (["simulate", "--runs", "10", "--dist", "normal", "--scale-mult", "0.5"], 2, MIXED_ONLY),
     ],
 )
-def test_non_finite_or_oversized_input_exits_3_before_printing(argv, message, capsys):
-    assert main(argv + ["--format", "json"]) == 3
+def test_bad_simulate_or_pi_input_exits_before_printing(argv, code, message, capsys):
+    assert main(argv + ["--format", "json"]) == code
     captured = capsys.readouterr()
     assert captured.out == ""
     assert captured.err == f"replikit: error: {message}\n"
@@ -706,8 +713,7 @@ OPTIONS = {
     "effect": ["-h", "--help", "--format", "--level", "--n1", "--mean1", "--sd1",
                "--n2", "--mean2", "--sd2", "--hedges"],
     "simulate": ["-h", "--help", "--format", "--seed", "--runs", "--n-per-arm", "--effect",
-                 "--dist", "--epsilon", "--scale-mult", "--mu", "--sigma", "--workers",
-                 "--dump-batch"],
+                 "--dist", "--epsilon", "--scale-mult", "--workers", "--dump-batch"],
     "pi": ["-h", "--help", "--format", "--level", "--d", "--n1", "--n2", "--se",
            "--rep-n1", "--rep-n2", "--check"],
     "meta": ["-h", "--help", "--format", "--level"],
@@ -817,7 +823,7 @@ SIMULATE_ARGS = ["simulate", "--runs", "10", "--dist", "mixed"]
     "base, name",
     [(EFFECT_ARGS, f"--{arg}") for arg in ("mean1", "mean2", "sd1", "sd2", "level")]
     + [(PI_ARGS, name) for name in ("--d", "--se", "--check")]
-    + [(SIMULATE_ARGS, f"--{arg}") for arg in ("mu", "sigma", "epsilon", "scale-mult", "effect")],
+    + [(SIMULATE_ARGS, f"--{arg}") for arg in ("epsilon", "scale-mult", "effect")],
 )
 def test_exponent_form_negative_token_is_an_option_value(base, name, value, capsys):
     # argparse alone reads a separate "-1e-05" as a flag and exits 2.

@@ -104,8 +104,6 @@ simulate_argv = command(
     option("--dist", st.sampled_from(["normal", "mixed", "cauchy"])),
     option("--epsilon", weighted((3, st.floats(0.0, 1.0).map(repr)), (1, numbers))),
     option("--scale-mult", weighted((3, st.floats(1.01, 100.0).map(repr)), (1, numbers))),
-    option("--mu", numbers),
-    option("--sigma", sds),
     option("--workers", st.sampled_from(["-1", "0", "2", "10000", "x"])),
     option("--dump-batch", st.sampled_from(["batch.csv", "no-such-dir/batch.csv"])),
     seed=True,

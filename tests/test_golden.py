@@ -10,6 +10,7 @@ when an output change is intended::
 import contextlib
 import csv
 import io
+import json
 import os
 import random
 import shutil
@@ -149,6 +150,38 @@ def test_cli_output_matches_golden(case, tmp_path):
     assert sorted(actual) == sorted(expected)
     for suffix, data in expected.items():
         assert actual[suffix] == data, f"{case}.{suffix} differs"
+
+
+# The ``simulate`` option each echo key stands for; a non-None epsilon means --dist mixed.
+ECHO_OPTIONS = {
+    "runs": "--runs", "n_per_arm": "--n-per-arm", "true_effect_d": "--effect",
+    "epsilon": "--epsilon", "scale_mult": "--scale-mult", "master_seed": "--seed",
+    "workers": "--workers",
+}
+
+
+def read_echo(fmt: str, outputs: dict[str, bytes]) -> dict[str, str]:
+    """The config echo of a table command's outputs, each value as its text."""
+    if fmt == "json":
+        return {key: str(value) for key, value in json.loads(outputs["stdout"])["config"].items()}
+    stream = outputs["stdout" if fmt == "text" else "stderr"].decode("utf-8")
+    return dict(line[2:].split(" ", 1) for line in stream.splitlines() if line.startswith("# "))
+
+
+@pytest.mark.parametrize("case", sorted(c for c in CASES if c.startswith("simulate-")))
+def test_simulate_echo_reproduces_the_output(case, tmp_path):
+    expected = golden_outputs(case)
+    fmt = case.rsplit("-", 1)[1]
+    echo = read_echo(fmt, expected)
+    argv = [echo.pop("command"), "--format", fmt]
+    if echo["epsilon"] != "None":
+        argv += ["--dist", "mixed"]
+    for key, value in echo.items():
+        if value != "None":
+            argv += [ECHO_OPTIONS[key], value]
+    if "dump.csv" in expected:
+        argv += ["--dump-batch", "dump.csv"]
+    assert run_case(argv, tmp_path) == expected
 
 
 def test_large_study_file_matches_its_generator():

@@ -14,7 +14,6 @@ from replikit import (
     SampleSummary,
     SimulationConfig,
     StudySummary,
-    UnsupportedFormatError,
     fixed_effect_pool,
     parse_study_csv,
     run_simulation,
@@ -373,12 +372,6 @@ def test_fmt4():
     assert fmt4(12345.6) == "1.235e+04"
     assert fmt4(1.0) == "1"
     assert fmt4(0.0001234) == "0.0001234"
-
-
-def test_render_rejects_unknown_payload():
-    for fmt in (OutputFormat.TEXT, OutputFormat.CSV, OutputFormat.JSON):
-        with pytest.raises(UnsupportedFormatError):
-            render(fmt, {}, [Table([("x", object())])])
 
 
 # ---------------------------------------------------------------------------

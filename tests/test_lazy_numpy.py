@@ -87,7 +87,7 @@ def test_simulate_loads_numpy(tmp_path):
 
 
 def test_every_export_resolves_and_star_import_binds_all():
-    assert len(replikit.__all__) == 34
+    assert len(replikit.__all__) == 33
     assert all(getattr(replikit, name) is not None for name in replikit.__all__)
     namespace: dict[str, object] = {}
     exec("from replikit import *", namespace)
