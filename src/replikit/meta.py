@@ -2,8 +2,9 @@
 
 A ``StudySummary`` is one study: two arm summaries or a given (d, se). A
 ``StudyTable`` holds studies as the ten columns of the study CSV.
-``parse_study_csv`` reads a file into one in a single pass, with the row
-checks of ``SampleSummary`` and ``StudySummary`` and row-numbered messages;
+``parse_study_csv`` reads a file into one column by column, with the row
+checks of ``SampleSummary`` and ``StudySummary``; only a file that fails them
+takes the row loop, which names the first fault with its row number.
 ``serialize_study_csv`` writes any study sequence from its columns.
 ``fixed_effect_pool`` pools standardized mean differences by inverse
 variance, with heterogeneity statistics; ``replikit.svg`` plots the result.
@@ -166,6 +167,34 @@ def _parse_numbers(row: list[str], row_num: int) -> list[float | int | None]:
     return values
 
 
+def _column_table(rows: list[list[str]]) -> StudyTable | None:
+    """The data rows as a table, read and checked by column; None at any irregularity."""
+    rows = [row for row in rows if "".join(row).strip()]
+    if not rows or set(map(len, rows)) != {len(STUDY_COLUMNS)}:
+        return None
+    # Every cell is stripped, and read as _parse_numbers reads it.
+    ids, labels, *cells = (tuple(map(str.strip, column)) for column in zip(*rows))
+    inf = math.inf
+    try:
+        n1, n2, m1, m2, s1, s2, d, se = [[float(t) if t else None for t in c] for c in cells]
+        n1, n2 = ([None if x is None else _integral(x) for x in n] for n in (n1, n2))
+        # A row with a mean1 needs complete arms and not both d and se; any other row needs
+        # d and se and no arm cell. A number missing where its form needs one raises TypeError.
+        if not all(ids) or not all(
+            (a >= 2 and b >= 2 and abs(x) < inf and abs(y) < inf and 0 <= s < inf
+             and 0 <= t < inf and (e is None or f is None)) if x is not None
+            else (y is None and s is None and t is None and (a is None or a >= 2)
+                  and (b is None or b >= 2) and abs(e) < inf and 2.0**-511 <= f <= 2.0**511)
+            for a, b, x, y, s, t, e, f in zip(n1, n2, m1, m2, s1, s2, d, se)
+        ):
+            return None
+    except (ValueError, OverflowError, TypeError):
+        return None
+    # A d or se beside complete arms is dropped.
+    d, se = ([x if m is None else None for m, x in zip(m1, c)] for c in (d, se))
+    return StudyTable(ids, labels, *map(tuple, (n1, n2, m1, m2, s1, s2, d, se)))
+
+
 def parse_study_csv(content: str | bytes) -> StudyTable:
     """Parse the study CSV schema into a column table of study summaries.
 
@@ -202,6 +231,9 @@ def parse_study_csv(content: str | bytes) -> StudyTable:
             + ("; " + "; ".join(detail) if detail else "; wrong column order")
         )
 
+    table = _column_table(rows[1:])  # None at a fault, which the row loop below names
+    if table is not None:
+        return table
     records = []
     for row_num, row in enumerate(islice(rows, 1, None), start=1):
         if not "".join(row).strip():
@@ -211,14 +243,7 @@ def parse_study_csv(content: str | bytes) -> StudyTable:
         study_id = row[0].strip()
         if not study_id:
             raise ParseError(f"row {row_num}: column 'study_id' must not be empty")
-        # float() ignores padding itself. A whitespace-only or bad cell falls
-        # back to the cell-by-cell parse, which strips and names the first bad cell.
-        try:
-            cells = [float(text) if text else None for text in row[2:]]
-            cells[:2] = [x if x is None else _integral(x) for x in cells[:2]]
-        except (ValueError, OverflowError):
-            cells = _parse_numbers(row, row_num)
-        n1, n2, mean1, mean2, sd1, sd2, d, se = cells
+        n1, n2, mean1, mean2, sd1, sd2, d, se = cells = _parse_numbers(row, row_num)
         arms_complete = None not in cells[:6]
         direct_complete = d is not None and se is not None
         if arms_complete and direct_complete:

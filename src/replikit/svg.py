@@ -83,19 +83,19 @@ def render_forest_svg(pooled: MetaResult) -> str:
     pooled_x, dx_lo, dx_hi = _x_coords([pooled.pooled_d, pooled.ci.lower, pooled.ci.upper], lo, hi)
     parts = [_header(height, pooled_x, MARGIN_TOP - 12.0, axis_y)]
 
-    label_x = _f(MARGIN_LEFT - 10.0)
-    x_lo, x_hi, x_d = (_x_coords(v, lo, hi) for v in (lows, highs, ds))
-    for i, (label, w) in enumerate(zip(pooled.labels, pooled.weights)):
+    # One study's label, interval and marker. "%.2f" gives the bytes of _f;
+    # each row's cy and side are formatted once.
+    row = (
+        f'<text x="{_f(MARGIN_LEFT - 10.0)}" y="%.2f" text-anchor="end" {_FONT} fill="{_FG}">%s'
+        f'</text>\n<line x1="%.2f" y1="%s" x2="%.2f" y2="%s" stroke="{_FG}" stroke-width="1"/>\n'
+        f'<rect x="%.2f" y="%.2f" width="%s" height="%s" fill="{_FG}"/>\n'
+    )
+    columns = zip(pooled.labels, pooled.weights, *(_x_coords(v, lo, hi) for v in (lows, highs, ds)))
+    for i, (label, w, x_lo, x_hi, x_d) in enumerate(columns):
         cy = MARGIN_TOP + i * HEIGHT_PER_ROW + HEIGHT_PER_ROW / 2.0
         side = MAX_MARKER_SIDE * math.sqrt(w / w_max)
-        parts.append(
-            f'<text x="{label_x}" y="{cy + 4.0:.2f}" text-anchor="end" '
-            f'{_FONT} fill="{_FG}">{_escape(label)}</text>\n'
-            f'<line x1="{x_lo[i]:.2f}" y1="{cy:.2f}" x2="{x_hi[i]:.2f}" y2="{cy:.2f}" '
-            f'stroke="{_FG}" stroke-width="1"/>\n'
-            f'<rect x="{x_d[i] - side / 2.0:.2f}" y="{cy - side / 2.0:.2f}" '
-            f'width="{side:.2f}" height="{side:.2f}" fill="{_FG}"/>\n'
-        )
+        y, s, h = "%.2f" % cy, "%.2f" % side, side / 2.0
+        parts.append(row % (cy + 4.0, _escape(label), x_lo, y, x_hi, y, x_d - h, cy - h, s, s))
 
     # Pooled-effect diamond spanning its confidence interval.
     cy = MARGIN_TOP + n * HEIGHT_PER_ROW + HEIGHT_PER_ROW / 2.0
@@ -126,16 +126,10 @@ def render_funnel_svg(pooled: MetaResult) -> str:
     lo, hi = axis_range(min(ds + [pooled.pooled_d]), max(ds + [pooled.pooled_d]))
     se_max = max(ses) * 1.05
 
-    def y_of(se: float) -> float:
-        # se=0 at the top, increasing downward.
-        return plot_top + (se / se_max) * (plot_bottom - plot_top)
-
     parts = [_header(height, _x_coords([pooled.pooled_d], lo, hi)[0], plot_top, plot_bottom)]
-    for x, se in zip(_x_coords(ds, lo, hi), ses):
-        parts.append(
-            f'<circle cx="{_f(x)}" cy="{_f(y_of(se))}" r="4" '
-            f'fill="none" stroke="{_FG}" stroke-width="1.2"/>\n'
-        )
+    circle = f'<circle cx="%.2f" cy="%.2f" r="4" fill="none" stroke="{_FG}" stroke-width="1.2"/>\n'
+    xs, span = _x_coords(ds, lo, hi), plot_bottom - plot_top  # se = 0 at the top, growing down
+    parts += [circle % (x, plot_top + (se / se_max) * span) for x, se in zip(xs, ses)]
     parts.append(_axis(plot_bottom + 12.0, lo, hi))
     # y axis line with min/max standard-error labels.
     parts.append(

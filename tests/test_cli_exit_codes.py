@@ -190,6 +190,12 @@ study_bytes = weighted((3, study_text.map(str.encode)), (1, st.binary(max_size=6
          content=b"study_id,label,n1,n2,mean1,mean2,sd1,sd2,d,se\ns1,a,,,,,,,0.5,0.3\n")
 @example(argv=["simulate", "--runs", "10", "--dump-batch", "no-such-dir/batch.csv"], content=b"")
 def test_main_returns_an_exit_code_and_never_raises(argv, content):
+    check_main(argv, content)
+
+
+def check_main(argv, content):
+    """Run ``main(argv)`` with ``content`` as studies.csv, hold it to the
+    contract above, and return how many batches it simulated."""
     out, err = io.StringIO(), io.StringIO()
     unwritable = any("no-such-dir" in tok for tok in argv)
     with tempfile.TemporaryDirectory() as workdir:
@@ -217,3 +223,31 @@ def test_main_returns_an_exit_code_and_never_raises(argv, content):
     if rc in (3, 4) or (rc == 2 and not err.getvalue().startswith("usage: ")):
         assert err.getvalue().startswith("replikit: error: "), err.getvalue()
         assert err.getvalue().count("\n") == 1, err.getvalue()
+    return run.call_count
+
+
+# Well-formed simulate argv only: even runs, small arms, a finite effect and,
+# under --dist mixed, a valid contamination. The property above reaches the
+# engine in only a few of its examples; this one reaches it in every example.
+mixed = st.tuples(
+    option("--epsilon", st.floats(0.0, 1.0).map(repr)),
+    option("--scale-mult", st.floats(1.0, 1e308, exclude_min=True).map(repr)),
+).map(lambda t: ["--dist", "mixed", *t[0], *t[1]])
+engine_argv = st.tuples(
+    required("--runs", st.integers(1, 100).map(lambda k: str(2 * k))),
+    required("--n-per-arm", st.integers(2, 60).map(str)),
+    # Joined to its option, so that a value such as -1e+300 is not read as an option.
+    st.floats(allow_nan=False, allow_infinity=False).map(lambda x: [f"--effect={x!r}"]),
+    st.one_of(st.just([]), st.just(["--dist", "normal"]), mixed),
+    option("--seed", st.integers(0, 2**64 - 1).map(str)),
+    option("--format", st.sampled_from(["text", "csv", "json"])),
+    option("--dump-batch", st.just("batch.csv")),
+).map(lambda parts: ["simulate", *(tok for part in parts for tok in part)])
+
+
+@settings(max_examples=100, deadline=None)
+@given(argv=engine_argv)
+@example(argv=["simulate", "--runs", "2", "--n-per-arm", "2", "--effect=1.7976931348623157e+308",
+               "--dist", "mixed", "--epsilon", "1.0", "--scale-mult", "1e308"])
+def test_well_formed_simulate_runs_the_engine_and_keeps_the_contract(argv):
+    assert check_main(argv, b"") == 1

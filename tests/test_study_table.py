@@ -12,6 +12,7 @@ import dataclasses
 import io
 import math
 from pathlib import Path
+from unittest import mock
 
 import legacy_studies as legacy
 import pytest
@@ -186,6 +187,121 @@ def test_columns_match_the_row_object_path_on_edge_rows(text, level):
 
 def test_large_golden_file_is_bit_identical_on_both_paths():
     assert_same_paths(LARGE.read_text(encoding="utf-8"), 0.95, as_bytes=True)
+
+
+# ---------------------------------------------------------------------------
+# The column pass, and the row loop that names the first fault
+# ---------------------------------------------------------------------------
+
+def no_row_loop():
+    """Make the row loop's cell parse fail, so that a file that reaches it raises."""
+    def row_loop(row, row_num):
+        raise AssertionError(f"row {row_num} went through the row loop")
+    return mock.patch.object(meta, "_parse_numbers", row_loop)
+
+
+def test_the_large_golden_file_never_enters_the_row_loop():
+    content = LARGE.read_bytes()
+    with no_row_loop():
+        table = parse_study_csv(content)
+        with pytest.raises(AssertionError, match="row 1 went through"):  # the spy works
+            parse_study_csv(HEADER + "\ns1,a,,,,,,,0.5,x\n")
+    assert len(table) == 300 and bits(table) == bits(legacy.parse_study_csv(content))
+
+
+@settings(max_examples=50, deadline=None)
+@given(text=valid_study_files())
+def test_valid_generated_files_never_enter_the_row_loop(text):
+    with no_row_loop():
+        table = parse_study_csv(text)
+    assert bits(table) == bits(legacy.parse_study_csv(text))
+
+
+def test_padded_and_whitespace_only_cells_never_enter_the_row_loop():
+    text = large_with({
+        250: cells(DIRECT, n1=" 12 ", mean1=" ", sd2="\t", d="\x1c0.5"),
+        251: cells(ARM, n2="\u200328.0", d="\r\n"),
+    })
+    with no_row_loop():
+        table = parse_study_csv(text)
+    i = table.study_id.index(LARGE_ROWS[250][0].strip())
+    assert (table.n1[i], table.mean1[i], table.d[i], table.n2[i + 1], table.d[i + 1]) == (
+        12, None, 0.5, 28, None)
+    assert bits(table) == bits(legacy.parse_study_csv(text))
+
+
+LARGE_ROWS = list(csv.reader(io.StringIO(LARGE.read_text(encoding="utf-8"))))
+ARM = dict(zip(HEADER.split(",")[2:], ["30", "28", "105.0", "100.0", "20.0", "19.0", "", ""]))
+DIRECT = dict(zip(HEADER.split(",")[2:], ["12", "14", "", "", "", "", "0.5", "0.4"]))
+
+
+def cells(form, **changes):
+    """An edit that keeps a row's id and label and gives it the numeric cells
+    of ``form`` (``ARM`` or ``DIRECT``) with ``changes`` by column."""
+    return lambda row: row[:2] + list({**form, **changes}.values())
+
+
+# One fault of each kind the parser names, as an edit of one row.
+FAULTS = {
+    "too many fields": lambda row: row + ["1"],
+    "too few fields": lambda row: row[:9],
+    "empty id": lambda row: [" ", *row[1:]],
+    "bad number": cells(ARM, sd1="1.0.0"),
+    "non-integral n": cells(DIRECT, n2="2.5"),
+    "incomplete arm form": cells(ARM, mean2=""),
+    "incomplete d/se form": cells(DIRECT, se=""),
+    "ambiguous form": cells(ARM, d="0.5", se="0.4"),
+    "stray arm cell": cells(DIRECT, sd1="1.0"),
+    "n1 < 2 in an arm": cells(ARM, n1="1"),
+    "n2 < 2 in an arm": cells(ARM, n2="-3"),
+    "n1 < 2 beside d/se": cells(DIRECT, n1="1"),
+    "n2 < 2 beside d/se": cells(DIRECT, n2="0"),
+    "nan mean1": cells(ARM, mean1="nan"),
+    "infinite mean2": cells(ARM, mean2="inf"),
+    "infinite sd1": cells(ARM, sd1="1e400"),
+    "sd1 < 0": cells(ARM, sd1="-2"),
+    "sd2 < 0": cells(ARM, sd2="-1e-300"),
+    "se below 2^-511": cells(DIRECT, se="1e-160"),
+    "se above 2^511": cells(DIRECT, se="1e160"),
+    "non-finite d": cells(DIRECT, d="nan"),
+}
+# Two faults in one row, of which the row loop names the first it checks.
+TWO_FAULTS = {
+    "non-integral n, then a bad number": cells(ARM, n1="2.5", mean2="x"),
+    "bad number in an ambiguous row": cells(ARM, d="0.5", se="0.4", sd2="x"),
+    "sd < 0 in arm 1, n < 2 in arm 2": cells(ARM, sd1="-1", n2="1"),
+    "non-finite d, se out of range": cells(DIRECT, d="inf", se="0"),
+    "empty id in a short row": lambda row: ["", *row[1:9]],
+}
+
+
+def large_with(edits):
+    """The large golden file, with data row k (blank rows counted) edited by ``edits[k]``."""
+    rows = [list(row) for row in LARGE_ROWS]
+    for row_num, edit in edits.items():
+        rows[row_num] = edit(rows[row_num])
+    buf = io.StringIO()
+    csv.writer(buf).writerows(rows)
+    return buf.getvalue()
+
+
+def assert_named_as_before(text, row_num):
+    result = outcome(parse_study_csv, text)
+    assert result[0] == "raised" and result[2].startswith(f"row {row_num}: "), result
+    assert bits(result) == bits(outcome(legacy.parse_study_csv, text))
+
+
+@pytest.mark.parametrize("edit", [*FAULTS.values(), *TWO_FAULTS.values()],
+                         ids=[*FAULTS, *TWO_FAULTS])
+def test_a_fault_deep_in_the_large_file_is_named_as_before(edit):
+    assert_named_as_before(large_with({250: edit}), 250)
+
+
+@pytest.mark.parametrize("first, second", [
+    ("sd2 < 0", "bad number"), ("bad number", "too few fields"), ("non-finite d", "empty id"),
+])
+def test_of_two_faulty_rows_the_earlier_is_named_as_before(first, second):
+    assert_named_as_before(large_with({120: FAULTS[first], 250: FAULTS[second]}), 120)
 
 
 # ---------------------------------------------------------------------------
