@@ -47,20 +47,18 @@ class EffectCategory(Enum):
 _BANDS = (0.2, 0.5, 0.8)
 _CATEGORIES = tuple(EffectCategory)
 
-_TEXT_LABELS = {
-    EffectCategory.LARGE_NEG: "Large-",
-    EffectCategory.MED_NEG: "Med-",
-    EffectCategory.SMALL_NEG: "Small-",
-    EffectCategory.NONE: "None",
-    EffectCategory.SMALL_POS: "Small+",
-    EffectCategory.MED_POS: "Med+",
-    EffectCategory.LARGE_POS: "Large+",
-}
-
-
 def category_label(cat: EffectCategory) -> str:
-    """Short human-readable label for a category."""
-    return _TEXT_LABELS[cat]
+    """Short human-readable label for a category: ``med_neg`` is ``Med-``."""
+    size, _, sign = cat.value.partition("_")
+    return size.capitalize() + {"neg": "-", "pos": "+"}.get(sign, "")
+
+
+def _check_level(level: float) -> None:
+    """Every interval's level rule: in (0, 1), and (1 + level)/2 below 1 (not 1 - 2^-53)."""
+    if not 0.0 < level < 1.0:
+        raise DomainError(f"level must be in (0, 1), got {level}")
+    if (1.0 + level) / 2.0 == 1.0:
+        raise DomainError(f"level {level} is too close to 1: (1 + level)/2 rounds to 1")
 
 
 @dataclass(frozen=True)
@@ -74,8 +72,7 @@ class Interval:
     def __post_init__(self) -> None:
         if not self.lower <= self.upper:
             raise DomainError(f"interval requires lower <= upper, got [{self.lower}, {self.upper}]")
-        if not 0.0 < self.level < 1.0:
-            raise DomainError(f"level must be in (0, 1), got {self.level}")
+        _check_level(self.level)
 
     @property
     def width(self) -> float:
@@ -161,7 +158,6 @@ def classify(d: float) -> EffectCategory:
 
 def confidence_interval(effect: EffectSize, level: float = 0.95) -> Interval:
     """Normal-quantile confidence interval d +/- z * se, symmetric about d."""
-    if not 0.0 < level < 1.0:
-        raise DomainError(f"level must be in (0, 1), got {level}")
+    _check_level(level)
     z = normal_quantile((1.0 + level) / 2.0)
     return Interval(effect.d - z * effect.se, effect.d + z * effect.se, level)

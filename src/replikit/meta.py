@@ -21,7 +21,7 @@ from itertools import islice
 from operator import add
 from typing import Sequence
 
-from .effect_size import Interval, _d_se
+from .effect_size import Interval, _check_level, _d_se
 from .errors import DomainError, InsufficientDataError, ParseError
 from .stats_core import SampleSummary, _check_arm, _square, normal_quantile
 
@@ -311,8 +311,7 @@ def fixed_effect_pool(studies: Sequence[StudySummary], level: float = 0.95) -> M
     """
     if not studies:
         raise InsufficientDataError("need at least one study to pool")
-    if not 0.0 < level < 1.0:
-        raise DomainError(f"level must be in (0, 1), got {level}")
+    _check_level(level)
     table = StudyTable.of(studies)
     effects = table.effects()
     ds = [d for d, _ in effects]

@@ -11,7 +11,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-from .effect_size import EffectSize, Interval, standard_error_d
+from .effect_size import EffectSize, Interval, _check_level, standard_error_d
 from .errors import DomainError, InconsistentIntervalError, NoSolutionError
 from .stats_core import _square, normal_quantile, t_quantile
 
@@ -33,8 +33,7 @@ class ReplicationDesign:
     def __post_init__(self) -> None:
         if self.n1_rep < 2 or self.n2_rep < 2:
             raise DomainError(f"replication arms must be >= 2, got {self.n1_rep}, {self.n2_rep}")
-        if not 0.0 < self.level < 1.0:
-            raise DomainError(f"level must be in (0, 1), got {self.level}")
+        _check_level(self.level)
 
 
 def _half_width(se_orig: float, se_rep: float, df: float, level: float) -> float:

@@ -46,6 +46,11 @@ class ContaminationSpec:
             raise DomainError(f"epsilon must be in [0, 1], got {self.epsilon}")
         if not (math.isfinite(self.scale_mult) and self.scale_mult > 1.0):
             raise DomainError(f"scale_mult must be finite and > 1, got {self.scale_mult}")
+        # A standard normal draw is far below 1e3, so a contaminated one is below
+        # 1e103. An arm of simulation.MAX_N_PER_ARM = 1e6 of them sums below 1e109, and
+        # its squared deviations below 1e6 * (2e103)^2 = 4e212: none of these overflows.
+        if self.scale_mult > 1e100:
+            raise DomainError(f"scale_mult must be at most 1e100, got {self.scale_mult}")
 
 
 @dataclass(frozen=True)
@@ -202,19 +207,16 @@ def normal_quantile(p: float) -> float:
     d = (7.784695709041462e-03, 3.224671290700398e-01, 2.445134137142996e+00,
          3.754408661907416e+00)
     p_low = 0.02425
-    if p < p_low:
-        q = math.sqrt(-2.0 * math.log(p))
-        x = (((((c[0] * q + c[1]) * q + c[2]) * q + c[3]) * q + c[4]) * q + c[5]) / (
-            (((d[0] * q + d[1]) * q + d[2]) * q + d[3]) * q + 1.0)
-    elif p <= 1.0 - p_low:
+    if p_low <= p <= 1.0 - p_low:
         q = p - 0.5
         r = q * q
         x = (((((a[0] * r + a[1]) * r + a[2]) * r + a[3]) * r + a[4]) * r + a[5]) * q / (
             ((((b[0] * r + b[1]) * r + b[2]) * r + b[3]) * r + b[4]) * r + 1.0)
-    else:
-        q = math.sqrt(-2.0 * math.log1p(-p))
-        x = -(((((c[0] * q + c[1]) * q + c[2]) * q + c[3]) * q + c[4]) * q + c[5]) / (
+    else:  # the tails: the upper one is the lower one at 1 - p, negated (exactly)
+        q = math.sqrt(-2.0 * (math.log(p) if p < p_low else math.log1p(-p)))
+        x = (((((c[0] * q + c[1]) * q + c[2]) * q + c[3]) * q + c[4]) * q + c[5]) / (
             (((d[0] * q + d[1]) * q + d[2]) * q + d[3]) * q + 1.0)
+        x = x if p < p_low else -x
     err = 0.5 * math.erfc(-x / math.sqrt(2.0)) - p
     u = err * math.sqrt(2.0 * math.pi) * math.exp(x * x / 2.0)
     return x - u / (1.0 + x * u / 2.0)

@@ -22,6 +22,7 @@ N_TICKS = 5
 
 _FG = "#1a1a1a"
 _ACCENT = "#2166ac"
+_DASHED = f'stroke="{_ACCENT}" stroke-dasharray="4 3"'
 _FONT = "font-family=\"Helvetica, Arial, sans-serif\" font-size=\"12\""
 
 
@@ -35,16 +36,23 @@ def _x_coords(values: list[float], axis_lo: float, axis_hi: float) -> list[float
     return [MARGIN_LEFT + (v - axis_lo) / span * width for v in values]
 
 
+def _line(x1: float, y1: float, x2: float, y2: float, stroke: str = f'stroke="{_FG}"') -> str:
+    return (f'<line x1="{_f(x1)}" y1="{_f(y1)}" x2="{_f(x2)}" y2="{_f(y2)}" '
+            f'{stroke} stroke-width="1"/>\n')
+
+
+def _text(x: float, y: float, anchor: str, body: str, attrs: str = "") -> str:
+    return (f'<text x="{_f(x)}" y="{_f(y)}" text-anchor="{anchor}" {_FONT}{attrs} '
+            f'fill="{_FG}">{body}</text>\n')
+
+
 def _header(height: float, pooled_x: float, line_top: float, line_bottom: float) -> str:
     """The plot's frame: background, then the dashed pooled-effect line."""
     return (
         f'<svg xmlns="http://www.w3.org/2000/svg" width="{_f(WIDTH)}" height="{_f(height)}" '
         f'viewBox="0 0 {_f(WIDTH)} {_f(height)}">\n'
         f'<rect x="0" y="0" width="{_f(WIDTH)}" height="{_f(height)}" fill="white"/>\n'
-        f'<line x1="{_f(pooled_x)}" y1="{_f(line_top)}" '
-        f'x2="{_f(pooled_x)}" y2="{_f(line_bottom)}" '
-        f'stroke="{_ACCENT}" stroke-dasharray="4 3" stroke-width="1"/>\n'
-    )
+    ) + _line(pooled_x, line_top, pooled_x, line_bottom, _DASHED)
 
 
 def axis_range(lo: float, hi: float) -> tuple[float, float]:
@@ -100,10 +108,7 @@ def render_forest_svg(pooled: MetaResult) -> str:
     # Pooled-effect diamond spanning its confidence interval.
     cy = MARGIN_TOP + n * HEIGHT_PER_ROW + HEIGHT_PER_ROW / 2.0
     half_h = 7.0
-    parts.append(
-        f'<text x="{_f(MARGIN_LEFT - 10.0)}" y="{_f(cy + 4.0)}" text-anchor="end" '
-        f'{_FONT} font-weight="bold" fill="{_FG}">Pooled</text>\n'
-    )
+    parts.append(_text(MARGIN_LEFT - 10.0, cy + 4.0, "end", "Pooled", ' font-weight="bold"'))
     parts.append(
         f'<polygon points="{_f(dx_lo)},{_f(cy)} {_f(pooled_x)},{_f(cy - half_h)} '
         f'{_f(dx_hi)},{_f(cy)} {_f(pooled_x)},{_f(cy + half_h)}" fill="{_ACCENT}"/>\n'
@@ -132,39 +137,21 @@ def render_funnel_svg(pooled: MetaResult) -> str:
     parts += [circle % (x, plot_top + (se / se_max) * span) for x, se in zip(xs, ses)]
     parts.append(_axis(plot_bottom + 12.0, lo, hi))
     # y axis line with min/max standard-error labels.
-    parts.append(
-        f'<line x1="{_f(MARGIN_LEFT)}" y1="{_f(plot_top)}" '
-        f'x2="{_f(MARGIN_LEFT)}" y2="{_f(plot_bottom)}" stroke="{_FG}" stroke-width="1"/>\n'
-    )
-    parts.append(
-        f'<text x="{_f(MARGIN_LEFT - 8.0)}" y="{_f(plot_top + 4.0)}" text-anchor="end" '
-        f'{_FONT} fill="{_FG}">0</text>\n'
-    )
-    parts.append(
-        f'<text x="{_f(MARGIN_LEFT - 8.0)}" y="{_f(plot_bottom + 4.0)}" text-anchor="end" '
-        f'{_FONT} fill="{_FG}">{se_max:.3g}</text>\n'
-    )
+    parts.append(_line(MARGIN_LEFT, plot_top, MARGIN_LEFT, plot_bottom))
+    parts.append(_text(MARGIN_LEFT - 8.0, plot_top + 4.0, "end", "0"))
+    parts.append(_text(MARGIN_LEFT - 8.0, plot_bottom + 4.0, "end", f"{se_max:.3g}"))
     parts.append("</svg>\n")
     return "".join(parts)
 
 
 def _axis(axis_y: float, lo: float, hi: float) -> str:
     x_start, x_end = _x_coords([lo, hi], lo, hi)
-    parts = [
-        f'<line x1="{_f(x_start)}" y1="{_f(axis_y)}" x2="{_f(x_end)}" y2="{_f(axis_y)}" '
-        f'stroke="{_FG}" stroke-width="1"/>\n'
-    ]
+    parts = [_line(x_start, axis_y, x_end, axis_y)]
     step = (hi - lo) / (N_TICKS - 1)
     ticks = [lo + i * step for i in range(N_TICKS)]
     for tick, tx in zip(ticks, _x_coords(ticks, lo, hi)):
-        parts.append(
-            f'<line x1="{_f(tx)}" y1="{_f(axis_y)}" x2="{_f(tx)}" y2="{_f(axis_y + 5.0)}" '
-            f'stroke="{_FG}" stroke-width="1"/>\n'
-        )
-        parts.append(
-            f'<text x="{_f(tx)}" y="{_f(axis_y + 20.0)}" text-anchor="middle" '
-            f'{_FONT} fill="{_FG}">{tick:.3g}</text>\n'
-        )
+        parts.append(_line(tx, axis_y, tx, axis_y + 5.0))
+        parts.append(_text(tx, axis_y + 20.0, "middle", f"{tick:.3g}"))
     return "".join(parts)
 
 

@@ -2,6 +2,7 @@
 
 import argparse
 import json
+import math
 import os
 import subprocess
 import sys
@@ -227,9 +228,9 @@ def test_simulate_runs_too_many_for_an_array_exits_3_before_any_allocation(
         # A non-finite effect is named before any draw.
         ("inf", "true_effect_d must be finite, got inf"),
         ("nan", "true_effect_d must be finite, got nan"),
-        # A finite one whose arm mean overflows is caught where the means are.
-        ("1e308", "mean and sd must be finite"),
-        ("1.7e308", "mean and sd must be finite"),
+        # So is a finite one beyond the bound at which the shift keeps the draws.
+        ("1e308", "true_effect_d must be in [-1e6, 1e6], got 1e+308"),
+        ("1.7e308", "true_effect_d must be in [-1e6, 1e6], got 1.7e+308"),
     ],
     ids=["inf", "nan", "1e308", "1.7e308"],
 )
@@ -252,10 +253,40 @@ def test_simulate_overflowing_scale_mult_names_it(capsys):
     captured = capsys.readouterr()
     assert rc == 3
     assert captured.out == ""
-    assert captured.err == (
-        "replikit: error: scale_mult 1e+308 overflows a contaminated draw to infinity\n"
-    )
+    assert captured.err == "replikit: error: scale_mult must be at most 1e100, got 1e+308\n"
     assert [str(w.message) for w in caught] == []
+
+
+@pytest.mark.parametrize(
+    "option, bound, message",
+    [
+        ("--effect", 1e6, "true_effect_d must be in [-1e6, 1e6], got 1000000.0000000001"),
+        ("--effect", -1e6, "true_effect_d must be in [-1e6, 1e6], got -1000000.0000000001"),
+        ("--scale-mult", 1e100, "scale_mult must be at most 1e100, got 1.0000000000000002e+100"),
+    ],
+    ids=["effect", "negative-effect", "scale-mult"],
+)
+def test_simulate_effect_and_scale_mult_run_at_their_bound_and_stop_past_it(
+    option, bound, message, monkeypatch, capsys
+):
+    mixed = ["--dist", "mixed", "--epsilon", "1"] if option == "--scale-mult" else []
+
+    def simulate(value: float) -> int:
+        return main(["simulate", "--runs", "4", "--n-per-arm", "13", *mixed, f"{option}={value!r}",
+                     "--format", "json"])
+
+    assert simulate(bound) == 0
+    [boxplot] = json.loads(capsys.readouterr().out)["boxplot"].values()
+    assert math.isfinite(boxplot["min"]) and boxplot["min"] < boxplot["max"]  # the draws count
+
+    def never(*args, **kwargs):
+        raise AssertionError("the batch was run")
+
+    monkeypatch.setattr("replikit.simulation.run_simulation", never)
+    assert simulate(math.nextafter(bound, math.copysign(math.inf, bound))) == 3
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == f"replikit: error: {message}\n"
 
 
 def test_simulate_out_of_memory_exits_3_with_one_line(monkeypatch, capsys):
@@ -506,6 +537,21 @@ def test_study_commands_check_the_level(command, level, study_file, capsys):
     captured = capsys.readouterr()
     assert captured.out == ""
     assert captured.err == f"replikit: error: level must be in (0, 1), got {level}\n"
+
+
+@pytest.mark.parametrize("command", ["effect", "pi", "meta", "forest", "funnel"])
+def test_level_whose_quantile_probability_rounds_to_1_exits_3_naming_level(
+    command, study_file, capsys
+):
+    argv = {"effect": EFFECT_ARGS, "pi": PI_ARGS}.get(command, [command, study_file])
+    # 1 - 2^-53 is the one level in (0, 1) for which (1 + level)/2 rounds to 1.
+    assert main([*argv, "--level", repr(1 - 2**-53)]) == 3
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == (
+        "replikit: error: level 0.9999999999999999 is too close to 1: (1 + level)/2 rounds to 1\n"
+    )
+    assert main([*argv, "--level", repr(1 - 2**-52)]) == 0
 
 
 def test_meta_missing_file_exits_2(capsys):

@@ -177,7 +177,7 @@ study_bytes = weighted((3, study_text.map(str.encode)), (1, st.binary(max_size=6
                "--rep-n1", "30", "--rep-n2", "30"], content=b"")
 @example(argv=["pi", "--d", "0.5", "--n1", "30", "--n2", "30", "--rep-n1", str(int(1.7e308)),
                "--rep-n2", str(int(1.7e308))], content=b"")
-# Contamination that overflows the draws; Q's square that float ``**`` cannot hold.
+# Contamination past its bound; Q's square that float ``**`` cannot hold.
 @example(argv=["simulate", "--runs", "10", "--dist", "mixed", "--scale-mult", "1e308"],
          content=b"")
 @example(argv=["meta", "studies.csv"],
@@ -226,18 +226,19 @@ def check_main(argv, content):
     return run.call_count
 
 
-# Well-formed simulate argv only: even runs, small arms, a finite effect and,
-# under --dist mixed, a valid contamination. The property above reaches the
-# engine in only a few of its examples; this one reaches it in every example.
+# Well-formed simulate argv only: even runs, small arms, an effect within its
+# bound and, under --dist mixed, a valid contamination. The property above
+# reaches the engine in only a few of its examples; this one reaches it in
+# every example.
 mixed = st.tuples(
     option("--epsilon", st.floats(0.0, 1.0).map(repr)),
-    option("--scale-mult", st.floats(1.0, 1e308, exclude_min=True).map(repr)),
+    option("--scale-mult", st.floats(1.0, 1e100, exclude_min=True).map(repr)),
 ).map(lambda t: ["--dist", "mixed", *t[0], *t[1]])
 engine_argv = st.tuples(
     required("--runs", st.integers(1, 100).map(lambda k: str(2 * k))),
     required("--n-per-arm", st.integers(2, 60).map(str)),
     # Joined to its option, so that a value such as -1e+300 is not read as an option.
-    st.floats(allow_nan=False, allow_infinity=False).map(lambda x: [f"--effect={x!r}"]),
+    st.floats(-1e6, 1e6).map(lambda x: [f"--effect={x!r}"]),
     st.one_of(st.just([]), st.just(["--dist", "normal"]), mixed),
     option("--seed", st.integers(0, 2**64 - 1).map(str)),
     option("--format", st.sampled_from(["text", "csv", "json"])),
@@ -247,7 +248,7 @@ engine_argv = st.tuples(
 
 @settings(max_examples=100, deadline=None)
 @given(argv=engine_argv)
-@example(argv=["simulate", "--runs", "2", "--n-per-arm", "2", "--effect=1.7976931348623157e+308",
-               "--dist", "mixed", "--epsilon", "1.0", "--scale-mult", "1e308"])
+@example(argv=["simulate", "--runs", "2", "--n-per-arm", "2", "--effect=-1000000.0",
+               "--dist", "mixed", "--epsilon", "1.0", "--scale-mult", "1e+100"])
 def test_well_formed_simulate_runs_the_engine_and_keeps_the_contract(argv):
     assert check_main(argv, b"") == 1

@@ -1,6 +1,7 @@
 """Effect-size computation, classification, and confidence intervals."""
 
 import math
+import re
 import warnings
 
 import numpy as np
@@ -14,9 +15,12 @@ from replikit import (
     EffectCategory,
     EffectSize,
     Interval,
+    ReplicationDesign,
     SampleSummary,
+    StudySummary,
     cohens_d,
     confidence_interval,
+    fixed_effect_pool,
     standard_error_d,
 )
 from replikit.effect_size import category_label, classify, hedges_correction
@@ -307,6 +311,40 @@ def test_category_labels_cover_enum():
     labels = {category_label(c) for c in EffectCategory}
     assert len(labels) == 7
     assert "None" in labels and "Large+" in labels and "Large-" in labels
+
+
+def test_category_labels_are_the_seven_table_labels():
+    assert [category_label(c) for c in EffectCategory] == [
+        "Large-", "Med-", "Small-", "None", "Small+", "Med+", "Large+"
+    ]
+
+
+def test_every_interval_entry_point_keeps_one_level_rule():
+    edge = 1 - 2**-53  # the one level in (0, 1) whose (1 + level)/2 rounds to 1
+    effect = EffectSize(d=0.5, se=0.26, n1=30, n2=30)
+    entry_points = [
+        lambda level: Interval(0.0, 1.0, level),
+        lambda level: confidence_interval(effect, level),
+        lambda level: fixed_effect_pool([StudySummary("s1", "a", d=0.5, se=0.26)], level),
+        lambda level: ReplicationDesign(effect, 30, 30, level),
+    ]
+    for entry in entry_points:
+        with pytest.raises(DomainError, match=re.escape(
+            "level 0.9999999999999999 is too close to 1: (1 + level)/2 rounds to 1"
+        )):
+            entry(edge)
+        for level in (0.0, 1.0, math.nan):
+            message = re.escape(f"level must be in (0, 1), got {level}")
+            with pytest.raises(DomainError, match=message):
+                entry(level)
+        entry(1 - 2**-52)
+
+
+def test_pool_names_a_bad_level_before_it_reads_a_study():
+    unreadable = [object()]  # any attribute read raises AttributeError
+    for level in (1.0, 1 - 2**-53):
+        with pytest.raises(DomainError, match="level"):
+            fixed_effect_pool(unreadable, level)
 
 
 # ---------------------------------------------------------------------------

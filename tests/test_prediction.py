@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from scipy import integrate, stats
 
 from replikit import prediction
 from replikit import (
@@ -446,3 +447,37 @@ def test_prediction_interval_covers_the_replication_at_its_level(delta, seed):
             for d, d_rep in pairs
         ) / len(pairs)
         assert low <= covered <= high, (level, covered)
+
+
+# The paper's claim in numbers: a replication of no effect (delta 0) confirms
+# an original of a small effect (delta 0.2) nearly as often as a replication of
+# the same effect does. With arms of 30 + 30, d * sqrt(15) is noncentral t with
+# df 58 and noncentrality delta * sqrt(15). The 95 % interval from an original
+# d is d +/- w(d), w(d) = t_(0.975, 58) * sqrt(2) * se(d), with se(d)^2 =
+# 1/15 + d^2/120, so the rate is the integral over d of
+# f_orig(d) * [F_rep(d + w(d)) - F_rep(d - w(d))].
+# Seeds 2501 (originals) and 2502 (replications), 4,000 pairs and a two-sided
+# binomial false-alarm rate of 1e-6 were fixed before the first run. Distinct
+# master seeds give disjoint substreams.
+def test_a_null_replication_confirms_a_small_original_at_the_predicted_rate():
+    df, root_n = 58, math.sqrt(15.0)
+    t = stats.t.ppf(0.975, df)
+
+    def confirm_density(d):
+        w = t * math.sqrt(2.0 * (1.0 / 15.0 + d * d / 120.0))
+        f_orig = root_n * stats.nct.pdf(d * root_n, df, 0.2 * root_n)
+        rep = stats.nct.cdf([(d - w) * root_n, (d + w) * root_n], df, 0.0)
+        return f_orig * (rep[1] - rep[0])
+
+    expected = integrate.quad(confirm_density, -3.0, 3.5, epsabs=1e-10)[0]
+    assert abs(expected - 0.9208) < 5e-4
+
+    def batch(delta, seed):
+        config = SimulationConfig(runs=4000, n_per_arm=30, true_effect_d=delta, master_seed=seed)
+        return run_simulation(config).d.tolist()
+
+    pairs = zip(batch(0.2, 2501), batch(0.0, 2502))
+    confirmed = sum(
+        confirms(prediction_interval(equal_arm_design(d, 60, 60)), d_rep) for d, d_rep in pairs
+    )
+    assert stats.binomtest(confirmed, 4000, expected).pvalue >= 1e-6, (confirmed / 4000, expected)

@@ -218,7 +218,7 @@ def test_zero_epsilon_contamination_matches_plain_normal():
     assert d_values(a) == d_values(b)
 
 
-OVERFLOW = re.escape("scale_mult 1e+308 overflows a contaminated draw to infinity")
+OVERFLOW = re.escape("scale_mult must be at most 1e100, got 1e+308")
 
 
 def test_each_chunk_is_drawn_once(monkeypatch):
@@ -227,15 +227,27 @@ def test_each_chunk_is_drawn_once(monkeypatch):
         run_simulation(small_config(runs=50, contamination=ContaminationSpec()))
         assert spy.call_count == 8  # ceil(50 / 7) chunks
         spy.reset_mock()
-        overflowing = ContaminationSpec(scale_mult=1e308)
-        with pytest.raises(DomainError, match=f"^{OVERFLOW}$"):
-            run_simulation(small_config(runs=50, contamination=overflowing))
-        assert spy.call_count == 1
+        widest = ContaminationSpec(epsilon=1.0, scale_mult=1e100)
+        batch = run_simulation(small_config(runs=50, contamination=widest))
+        assert spy.call_count == 8
+        assert np.isfinite(batch.d).all() and np.isfinite(batch.se).all()
 
 
 def test_draw_rows_rejects_an_overflowing_scale_mult():
+    # The spec refuses it, so no draw_rows call can overflow a draw.
     with pytest.raises(DomainError, match=f"^{OVERFLOW}$"):
         draw_rows(7, range(10), 60, ContaminationSpec(scale_mult=1e308))
+    widest = draw_rows(7, range(10), 60, ContaminationSpec(epsilon=1.0, scale_mult=1e100))
+    assert np.array_equal(widest, 1e100 * draw_rows(7, range(10), 60))
+
+
+@pytest.mark.parametrize("bound", [1e6, -1e6])
+def test_true_effect_d_is_bounded_where_the_shift_keeps_the_draws(bound):
+    assert small_config(true_effect_d=bound).true_effect_d == bound
+    past = math.nextafter(bound, math.copysign(math.inf, bound))
+    message = re.escape(f"true_effect_d must be in [-1e6, 1e6], got {past}")
+    with pytest.raises(DomainError, match=f"^{message}$"):
+        small_config(true_effect_d=past)
 
 
 def test_empty_batch():

@@ -10,6 +10,7 @@ tolerances were set from measured deviations with a 10-100x safety factor.
 """
 
 import math
+import re
 import random
 import sys
 
@@ -203,6 +204,14 @@ def test_contamination_spec_validation():
     for scale_mult in (math.inf, math.nan):
         with pytest.raises(DomainError, match="scale_mult must be finite"):
             ContaminationSpec(epsilon=0.0, scale_mult=scale_mult)
+
+
+def test_scale_mult_is_bounded_where_no_arm_can_overflow():
+    assert ContaminationSpec(scale_mult=1e100).scale_mult == 1e100
+    past = math.nextafter(1e100, math.inf)
+    message = re.escape(f"scale_mult must be at most 1e100, got {past}")
+    with pytest.raises(DomainError, match=f"^{message}$"):
+        ContaminationSpec(scale_mult=past)
 
 
 # ---------------------------------------------------------------------------
@@ -512,6 +521,53 @@ def test_t_quantile_domain():
 def test_normal_quantile_against_scipy():
     for p in (1e-10, 1e-6, 0.001, 0.025, 0.2, 0.5, 0.8, 0.975, 0.999, 1 - 1e-6):
         assert abs(normal_quantile(p) - stats.norm.ppf(p)) < 1e-9
+
+
+def three_branch_normal_quantile(p):
+    """``normal_quantile`` as it was written with a separate upper-tail branch,
+    kept verbatim as a bitwise reference for the merged tails."""
+    if p == 0.5:
+        return 0.0
+    a = (-3.969683028665376e+01, 2.209460984245205e+02, -2.759285104469687e+02,
+         1.383577518672690e+02, -3.066479806614716e+01, 2.506628277459239e+00)
+    b = (-5.447609879822406e+01, 1.615858368580409e+02, -1.556989798598866e+02,
+         6.680131188771972e+01, -1.328068155288572e+01)
+    c = (-7.784894002430293e-03, -3.223964580411365e-01, -2.400758277161838e+00,
+         -2.549732539343734e+00, 4.374664141464968e+00, 2.938163982698783e+00)
+    d = (7.784695709041462e-03, 3.224671290700398e-01, 2.445134137142996e+00,
+         3.754408661907416e+00)
+    p_low = 0.02425
+    if p < p_low:
+        q = math.sqrt(-2.0 * math.log(p))
+        x = (((((c[0] * q + c[1]) * q + c[2]) * q + c[3]) * q + c[4]) * q + c[5]) / (
+            (((d[0] * q + d[1]) * q + d[2]) * q + d[3]) * q + 1.0)
+    elif p <= 1.0 - p_low:
+        q = p - 0.5
+        r = q * q
+        x = (((((a[0] * r + a[1]) * r + a[2]) * r + a[3]) * r + a[4]) * r + a[5]) * q / (
+            ((((b[0] * r + b[1]) * r + b[2]) * r + b[3]) * r + b[4]) * r + 1.0)
+    else:
+        q = math.sqrt(-2.0 * math.log1p(-p))
+        x = -(((((c[0] * q + c[1]) * q + c[2]) * q + c[3]) * q + c[4]) * q + c[5]) / (
+            (((d[0] * q + d[1]) * q + d[2]) * q + d[3]) * q + 1.0)
+    err = 0.5 * math.erfc(-x / math.sqrt(2.0)) - p
+    u = err * math.sqrt(2.0 * math.pi) * math.exp(x * x / 2.0)
+    return x - u / (1.0 + x * u / 2.0)
+
+
+def test_normal_quantile_keeps_the_bits_of_its_three_branch_form():
+    grid = [
+        *np.logspace(-300, math.log10(0.5), 3000).tolist(),  # lower tail and centre
+        *(1.0 - np.logspace(-16, math.log10(0.5), 3000)).tolist(),  # upper tail and centre
+        *np.linspace(0.001, 0.999, 3000).tolist(),
+    ]
+    for edge in (0.02425, 1.0 - 0.02425, 0.5):  # each side of every branch switch
+        below = above = edge
+        for _ in range(20):
+            grid += [below, above]
+            below, above = math.nextafter(below, 0.0), math.nextafter(above, 1.0)
+    for p in grid:
+        assert normal_quantile(p).hex() == three_branch_normal_quantile(p).hex(), p
 
 
 def test_quantile_integration_oracle_spot_check():
