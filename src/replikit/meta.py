@@ -174,20 +174,21 @@ def _column_table(rows: list[list[str]]) -> StudyTable | None:
         return None
     # Every cell is stripped, and read as _parse_numbers reads it.
     ids, labels, *cells = (tuple(map(str.strip, column)) for column in zip(*rows))
-    inf = math.inf
+    if not all(ids):
+        return None
     try:
         n1, n2, m1, m2, s1, s2, d, se = [[float(t) if t else None for t in c] for c in cells]
         n1, n2 = ([None if x is None else _integral(x) for x in n] for n in (n1, n2))
-        # A row with a mean1 needs complete arms and not both d and se; any other row needs
-        # d and se and no arm cell. A number missing where its form needs one raises TypeError.
-        if not all(ids) or not all(
-            (a >= 2 and b >= 2 and abs(x) < inf and abs(y) < inf and 0 <= s < inf
-             and 0 <= t < inf and (e is None or f is None)) if x is not None
-            else (y is None and s is None and t is None and (a is None or a >= 2)
-                  and (b is None or b >= 2) and abs(e) < inf and 2.0**-511 <= f <= 2.0**511)
-            for a, b, x, y, s, t, e, f in zip(n1, n2, m1, m2, s1, s2, d, se)
-        ):
-            return None
+        # The library's checks of a row's form: arms where mean1 is given and not both d and
+        # se, else (d, se) and no arm measure. A number its form needs but lacks raises TypeError.
+        for i, a, b, x, y, s, t, e, f in zip(ids, n1, n2, m1, m2, s1, s2, d, se):
+            if x is not None and (e is None or f is None):
+                _check_arm(a, x, s)
+                _check_arm(b, y, t)
+            elif x is y is s is t is None and e is not None and f is not None:
+                _check_study(i, e, f, a, b)
+            else:
+                return None
     except (ValueError, OverflowError, TypeError):
         return None
     # A d or se beside complete arms is dropped.

@@ -9,6 +9,7 @@ import sys
 import warnings
 from pathlib import Path
 
+import mpmath
 import pytest
 
 from replikit import cli, standard_error_d
@@ -78,6 +79,19 @@ def test_effect_hedges_shrinks_d(capsys):
     corrected = json.loads(capsys.readouterr().out)
     assert 0.0 < corrected["d"] < plain["d"]
     assert corrected["config"]["hedges"] is True
+
+
+def test_effect_at_a_tiny_level_prints_the_mpmath_interval(capsys):
+    # z at p = 0.5000005, near the centre, where a residual formed against p alone
+    # cancels. Equal means make d = 0, so the interval is -/+ z * se and shows every
+    # bit of z, which a nonzero d would round away.
+    argv = EFFECT_ARGS[:-3] + ["105", "--sd2", "20", "--level", "0.000001", "--format", "json"]
+    assert main(argv) == 0
+    data = json.loads(capsys.readouterr().out)
+    with mpmath.workprec(100):
+        z = float(mpmath.sqrt(2) * mpmath.erfinv(2 * mpmath.mpf((1.0 + 1e-6) / 2.0) - 1))
+    assert data["d"] == 0.0
+    assert (data["ci_lower"], data["ci_upper"]) == (-z * data["se"], z * data["se"])
 
 
 def test_effect_hedges_at_an_arm_size_of_2_to_the_64(capsys):

@@ -523,51 +523,35 @@ def test_normal_quantile_against_scipy():
         assert abs(normal_quantile(p) - stats.norm.ppf(p)) < 1e-9
 
 
-def three_branch_normal_quantile(p):
-    """``normal_quantile`` as it was written with a separate upper-tail branch,
-    kept verbatim as a bitwise reference for the merged tails."""
-    if p == 0.5:
-        return 0.0
-    a = (-3.969683028665376e+01, 2.209460984245205e+02, -2.759285104469687e+02,
-         1.383577518672690e+02, -3.066479806614716e+01, 2.506628277459239e+00)
-    b = (-5.447609879822406e+01, 1.615858368580409e+02, -1.556989798598866e+02,
-         6.680131188771972e+01, -1.328068155288572e+01)
-    c = (-7.784894002430293e-03, -3.223964580411365e-01, -2.400758277161838e+00,
-         -2.549732539343734e+00, 4.374664141464968e+00, 2.938163982698783e+00)
-    d = (7.784695709041462e-03, 3.224671290700398e-01, 2.445134137142996e+00,
-         3.754408661907416e+00)
-    p_low = 0.02425
-    if p < p_low:
-        q = math.sqrt(-2.0 * math.log(p))
-        x = (((((c[0] * q + c[1]) * q + c[2]) * q + c[3]) * q + c[4]) * q + c[5]) / (
-            (((d[0] * q + d[1]) * q + d[2]) * q + d[3]) * q + 1.0)
-    elif p <= 1.0 - p_low:
-        q = p - 0.5
-        r = q * q
-        x = (((((a[0] * r + a[1]) * r + a[2]) * r + a[3]) * r + a[4]) * r + a[5]) * q / (
-            ((((b[0] * r + b[1]) * r + b[2]) * r + b[3]) * r + b[4]) * r + 1.0)
-    else:
-        q = math.sqrt(-2.0 * math.log1p(-p))
-        x = -(((((c[0] * q + c[1]) * q + c[2]) * q + c[3]) * q + c[4]) * q + c[5]) / (
-            (((d[0] * q + d[1]) * q + d[2]) * q + d[3]) * q + 1.0)
-    err = 0.5 * math.erfc(-x / math.sqrt(2.0)) - p
-    u = err * math.sqrt(2.0 * math.pi) * math.exp(x * x / 2.0)
-    return x - u / (1.0 + x * u / 2.0)
+def normal_quantile_rel_error(p):
+    """|normal_quantile(p) / z - 1| for the exact quantile z, in mpmath at 80
+    bits beyond |log2 min(p, 1 - p)|, so that 2p - 1 is exact."""
+    with mpmath.workprec(80 + int(abs(math.log2(min(p, 1.0 - p))))):
+        z = mpmath.sqrt(2) * mpmath.erfinv(2 * mpmath.mpf(p) - 1)
+        return float(abs(normal_quantile(p) / z - 1))
 
 
-def test_normal_quantile_keeps_the_bits_of_its_three_branch_form():
-    grid = [
-        *np.logspace(-300, math.log10(0.5), 3000).tolist(),  # lower tail and centre
-        *(1.0 - np.logspace(-16, math.log10(0.5), 3000)).tolist(),  # upper tail and centre
-        *np.linspace(0.001, 0.999, 3000).tolist(),
-    ]
-    for edge in (0.02425, 1.0 - 0.02425, 0.5):  # each side of every branch switch
-        below = above = edge
-        for _ in range(20):
-            grid += [below, above]
-            below, above = math.nextafter(below, 0.0), math.nextafter(above, 1.0)
-    for p in grid:
-        assert normal_quantile(p).hex() == three_branch_normal_quantile(p).hex(), p
+NORMAL_P_GRID = [
+    *(10.0**-k for k in range(1, 308, 6)),
+    *(0.5 + s * 10.0**-k for k in range(1, 16) for s in (-1, 1)),
+    *(1.0 - 10.0**-k for k in range(1, 17)),
+    # The default level's z, and p where a residual formed against p alone cancels.
+    0.975, 0.5000005, 0.5 + 1.3e-8, 1.0 - 7.5e-14,
+    *np.random.default_rng(20261020).random(100).tolist(),
+]
+
+
+def test_normal_quantile_matches_mpmath_from_1e_307_to_1_minus_1e_16():
+    worst = max((normal_quantile_rel_error(p), p) for p in NORMAL_P_GRID)
+    assert worst[0] <= 1e-15, worst
+    # The default interval's z keeps its bits, which are the oracle's.
+    assert normal_quantile(0.975).hex() == "0x1.f5c0331eeff83p+0"
+
+
+@pytest.mark.parametrize("p", [5e-324, 2.96e-322, 1e-315, 1e-310])
+def test_normal_quantile_is_finite_at_subnormal_p(p):
+    assert math.isfinite(normal_quantile(p))
+    assert normal_quantile_rel_error(p) <= 1e-15
 
 
 def test_quantile_integration_oracle_spot_check():
