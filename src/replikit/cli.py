@@ -142,9 +142,9 @@ def build_parser() -> argparse.ArgumentParser:
 
 def _emit(fmt: str, config: Mapping[str, object], tables: Sequence[object]) -> int:
     """Write the echo and the ``io.Table`` blocks in the ``--format`` named ``fmt``."""
-    from .io import OutputFormat, render
+    from .io import render
 
-    out, err = render(OutputFormat(fmt), config, tables)
+    out, err = render(fmt, config, tables)
     sys.stderr.write(err)
     sys.stdout.write(out)
     return 0

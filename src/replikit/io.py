@@ -1,12 +1,13 @@
 """The one text/csv/json renderer, in pure Python.
 
-Each table command (effect, simulate, pi, meta) hands ``render`` its config
-echo and its result as ordered tables; per-type rules decide how a value
-looks in each format. The plots are SVG only (``replikit.svg``). Renders are
-pure functions of their inputs: no timestamps, no locale formatting,
+Each table command (effect, simulate, pi, meta) hands ``render`` its
+``--format`` string, which the parser has already held to text, csv or json,
+its config echo and its result as ordered tables; per-type rules decide how a
+value looks in each format. The plots are SVG only (``replikit.svg``). Renders
+are pure functions of their inputs: no timestamps, no locale formatting,
 decimal point always ``.``. Text mode prints 4 significant digits; csv and
-json carry full precision. The batch export ``batch_to_csv`` lives with
-the engine in ``replikit.simulation``, so this module loads no numpy.
+json carry full precision. The batch export ``batch_to_csv`` lives with the
+engine in ``replikit.simulation``, so this module loads no numpy.
 """
 
 from __future__ import annotations
@@ -15,16 +16,9 @@ import csv
 import io as _stdio
 import json
 from dataclasses import dataclass
-from enum import Enum
 from typing import Mapping, Sequence
 
 from .effect_size import EffectCategory, category_label
-
-
-class OutputFormat(Enum):
-    TEXT = "text"
-    CSV = "csv"
-    JSON = "json"
 
 
 def fmt4(x: float) -> str:
@@ -56,13 +50,13 @@ def config_lines(config: Mapping[str, object]) -> str:
     return "".join(f"# {key} {value}\n" for key, value in config.items())
 
 
-def _cell(value: object, fmt: OutputFormat) -> object:
+def _cell(value: object, fmt: str) -> object:
     """One key or value as ``fmt`` shows it."""
-    if fmt is OutputFormat.JSON:
+    if fmt == "json":
         if isinstance(value, EffectCategory):
             return value.value
         return list(value) if isinstance(value, tuple) else value
-    text = fmt is OutputFormat.TEXT
+    text = fmt == "text"
     if isinstance(value, bool):
         return "Y" if value else "N"
     if isinstance(value, EffectCategory):
@@ -77,14 +71,14 @@ def _cell(value: object, fmt: OutputFormat) -> object:
 
 
 def render(
-    fmt: OutputFormat, config: Mapping[str, object], tables: Sequence[Table]
+    fmt: str, config: Mapping[str, object], tables: Sequence[Table]
 ) -> tuple[str, str]:
     """A command's result as (stdout, stderr) in ``fmt``.
 
     Text prints the config echo as comment lines above the tables, csv sends
     it to stderr, and json carries it under a ``"config"`` key.
     """
-    if fmt is OutputFormat.JSON:
+    if fmt == "json":
         payload: dict[str, object] = {"config": dict(config)}
         for table in tables:
             node = payload
@@ -98,7 +92,7 @@ def render(
         rows = [(_cell(k, fmt), _cell(v, fmt)) for k, v in table.rows]
         if table.name is not None:
             rows.insert(0, table.name)
-        if fmt is OutputFormat.CSV:
+        if fmt == "csv":
             buf = _stdio.StringIO()
             csv.writer(buf).writerows([[k for k, _ in rows], [v for _, v in rows]])
             blocks.append(buf.getvalue())
@@ -108,6 +102,6 @@ def render(
             width = max(len(k) for k, _ in rows)
             blocks.append("".join(f"{k.ljust(width)}  {v}\n" for k, v in rows))
     body = "\n".join(blocks)
-    if fmt is OutputFormat.CSV:
+    if fmt == "csv":
         return body, config_lines(config)
     return config_lines(config) + body, ""

@@ -4,8 +4,8 @@ float square behind d's pooled sd, the prediction half-width and Cochran's Q.
 
 The normal quantile is AS241 (``statistics.NormalDist``) after one Halley
 step on a residual that does not cancel, or AS241 alone at subnormal p. The
-t distribution is evaluated through the regularized incomplete beta function
-(continued fraction). Its quantile is Newton's method on that CDF from the
+t CDF evaluates the one regularized incomplete beta it needs, I_y(df/2, 1/2),
+by its continued fraction. Its quantile is Newton's method on that CDF from the
 expansion about the normal quantile (from the leading tail term below df 1),
 and from df 1e4 on the expansion alone, so the quantile can be checked
 against an integration oracle. Nothing here imports numpy; the random
@@ -77,7 +77,7 @@ def _check_arm(n: int, mean: float, sd: float) -> None:
 
 
 # ---------------------------------------------------------------------------
-# Special functions: regularized incomplete beta, t distribution, normal
+# Special functions: t distribution, normal quantile
 # ---------------------------------------------------------------------------
 
 _BETACF_MAX_ITER = 500
@@ -148,27 +148,6 @@ def _lgamma_shift(a: float, b: float) -> float:
     return (a - 0.5) * math.log1p(b / a) + b * math.log(a + b) - b + tail(a + b) - tail(a)
 
 
-def regularized_incomplete_beta(a: float, b: float, x: float) -> float:
-    """Regularized incomplete beta function I_x(a, b) for a, b > 0, x in [0, 1]."""
-    if a <= 0 or b <= 0:
-        raise DomainError(f"a and b must be > 0, got a={a}, b={b}")
-    if not 0.0 <= x <= 1.0:
-        raise DomainError(f"x must be in [0, 1], got {x}")
-    if x == 0.0:
-        return 0.0
-    if x == 1.0:
-        return 1.0
-    # -ln B(a, b), with Stirling's series on the larger parameter from 1000 on.
-    if b > a and b >= _STIRLING_MIN_A:
-        ln_bt = _lgamma_shift(b, a) - math.lgamma(a)
-    else:
-        ln_bt = _lgamma_shift(a, b) - math.lgamma(b)
-    bt = math.exp(ln_bt + a * math.log(x) + b * math.log1p(-x))
-    if x < (a + 1.0) / (a + b + 2.0):
-        return bt * _betacf(a, b, x) / a
-    return 1.0 - bt * _betacf(b, a, 1.0 - x) / b
-
-
 def t_pdf(x: float, df: float) -> float:
     """Density of the Student-t distribution with ``df`` degrees of freedom."""
     if df <= 0:
@@ -181,14 +160,27 @@ def t_pdf(x: float, df: float) -> float:
     return math.exp(ln_f)
 
 
+_LGAMMA_HALF = math.lgamma(0.5)
+
+
 def t_cdf(x: float, df: float) -> float:
-    """CDF of the Student-t distribution with ``df`` degrees of freedom."""
+    """CDF of the Student-t distribution with ``df`` degrees of freedom, from the
+    two-sided tail P(|T| > |x|) = I_y(df/2, 1/2) with y = df/(df + x^2)."""
     if df <= 0:
         raise DomainError(f"df must be > 0, got {df}")
     if x == 0.0:
         return 0.5
-    # Two-sided tail P(|T| > |x|) = I_{df/(df+x^2)}(df/2, 1/2).
-    two_tail = regularized_incomplete_beta(df / 2.0, 0.5, df / (df + x * x))
+    a = df / 2.0
+    y = df / (df + x * x)
+    if not (0.0 <= y <= 1.0 and a > 0.0):
+        raise DomainError(f"x must be a number and df finite with df/2 > 0, got x={x}, df={df}")
+    two_tail = y  # I_0 = 0 and I_1 = 1
+    if 0.0 < y < 1.0:
+        bt = math.exp(_lgamma_shift(a, 0.5) - _LGAMMA_HALF + a * math.log(y) + 0.5 * math.log1p(-y))
+        if y < (a + 1.0) / (a + 0.5 + 2.0):
+            two_tail = bt * _betacf(a, 0.5, y) / a
+        else:
+            two_tail = 1.0 - bt * _betacf(0.5, a, 1.0 - y) / 0.5
     return 1.0 - 0.5 * two_tail if x > 0 else 0.5 * two_tail
 
 

@@ -12,9 +12,9 @@ from pathlib import Path
 import mpmath
 import pytest
 
-from replikit import cli, standard_error_d
+from replikit import cli, standard_error_d, stats_core
 from replikit.cli import main
-from replikit.io import OutputFormat
+from replikit.io import Table, render
 from replikit.simulation import MAX_RUNS
 
 SRC = str(Path(cli.__file__).resolve().parents[1])
@@ -385,6 +385,22 @@ def test_pi_replication_arm_size_that_is_not_a_float_exits_2(size, capsys):
     argv = ["pi", "--d", "0.5", "--n1", "30", "--n2", "30", "--rep-n1", size, "--rep-n2", "30"]
     assert main(argv) == 2
     assert "argument --rep-n1: " in capsys.readouterr().err
+
+
+@pytest.mark.parametrize(
+    "cap, message",
+    [
+        ("_BETACF_MAX_ITER", "incomplete beta continued fraction did not converge "
+                             "(a=20.0, b=0.5, x=0.9073433307022046)"),
+        ("_T_QUANTILE_MAX_ITER", "t quantile iteration did not converge (p=0.975, df=40)"),
+    ],
+    ids=["betacf", "t_quantile"],
+)
+def test_pi_whose_iteration_stops_at_its_cap_exits_4_with_one_line(cap, message, monkeypatch, capsys):
+    monkeypatch.setattr(stats_core, cap, 1)
+    argv = ["pi", "--d", "0.5", "--n1", "20", "--n2", "22", "--rep-n1", "40", "--rep-n2", "40"]
+    assert main(argv) == 4
+    assert capsys.readouterr() == ("", f"replikit: error: {message}\n")
 
 
 FLOAT_MAX_INT = str(int(1.7e308))  # has a float value; the sum of two has none
@@ -792,12 +808,23 @@ def test_each_command_takes_only_the_options_it_reads():
         assert formats == ([] if name in ("forest", "funnel") else [["text", "csv", "json"]])
 
 
-def test_format_choices_are_the_renderer_formats():
-    # cli writes the choices out, so that building the parser loads no io.
+def test_every_format_choice_renders_a_table():
+    # cli's --format choices are the one list of formats, and render takes
+    # each choice as it stands.
     parser = cli.build_parser()
     subparsers = next(a for a in parser._actions if isinstance(a, argparse._SubParsersAction))
-    choices = [a.choices for sub in subparsers.choices.values() for a in sub._actions if a.dest == "format"]
-    assert choices == [[f.value for f in OutputFormat]] * 4
+    rendered = []
+    for sub in subparsers.choices.values():
+        for fmt in (c for a in sub._actions if a.dest == "format" for c in a.choices):
+            out, err = render(fmt, {"seed": 1}, [Table([("d", 0.5)])])
+            if fmt == "json":
+                assert (json.loads(out)["config"], err) == ({"seed": 1}, ""), fmt
+            elif fmt == "csv":
+                assert (out.splitlines(), err) == (["d", "0.5"], "# seed 1\n"), fmt
+            else:
+                assert (out, err) == ("# seed 1\nd  0.5\n", ""), fmt
+            rendered.append(fmt)
+    assert rendered == ["text", "csv", "json"] * 4
 
 
 @pytest.mark.parametrize(

@@ -19,7 +19,7 @@ from replikit import (
     run_simulation,
     serialize_study_csv,
 )
-from replikit.io import OutputFormat, Percent, Table, fmt4, render
+from replikit.io import Percent, Table, fmt4, render
 from replikit.meta import StudyTable
 from replikit.simulation import SignAgreementTable, batch_to_csv
 
@@ -295,7 +295,7 @@ def render_out(table, fmt):
 
 
 def render_json(table):
-    data = json.loads(render_out(table, OutputFormat.JSON))
+    data = json.loads(render_out(table, "json"))
     assert data.pop("config") == {}
     for key in table.json_path:
         data = data[key]
@@ -303,7 +303,7 @@ def render_json(table):
 
 
 def test_category_csv_has_seven_columns_summing_to_100():
-    out = render_out(category_table(CATEGORY_TABLE), OutputFormat.CSV)
+    out = render_out(category_table(CATEGORY_TABLE), "csv")
     header, row = out.strip().splitlines()
     names = header.split(",")
     values = [float(v) for v in row.split(",")]
@@ -313,7 +313,7 @@ def test_category_csv_has_seven_columns_summing_to_100():
 
 
 def test_category_text_uses_labels_and_percent():
-    out = render_out(category_table(CATEGORY_TABLE), OutputFormat.TEXT)
+    out = render_out(category_table(CATEGORY_TABLE), "text")
     assert "category" in out and "proportion" in out
     assert "Large-" in out and "0.1%" in out
     assert "None" in out and "55.5%" in out
@@ -330,10 +330,10 @@ def test_sign_table_renders():
     data = render_json(table)
     assert data == {"mm": 1, "mp": 2, "pm": 3, "pp": 4}
     assert all(isinstance(v, int) for v in data.values())
-    csv_out = render_out(table, OutputFormat.CSV)
+    csv_out = render_out(table, "csv")
     assert csv_out.splitlines()[0] == "mm,mp,pm,pp"
     assert csv_out.splitlines()[1] == "1,2,3,4"
-    text = render_out(table, OutputFormat.TEXT)
+    text = render_out(table, "text")
     assert "quadrant" in text and "count" in text
 
 
@@ -354,7 +354,7 @@ def test_meta_json_key_contract():
 
 
 def test_meta_csv_packs_weights():
-    out = render_out(meta_table(build_meta()), OutputFormat.CSV)
+    out = render_out(meta_table(build_meta()), "csv")
     header, row = out.strip().splitlines()
     assert header.startswith("pooled_d,pooled_se,ci_lower,ci_upper,q,i_squared,weights")
     weights_cell = row.split(",")[-1].strip('"')
@@ -362,7 +362,7 @@ def test_meta_csv_packs_weights():
 
 
 def test_meta_text_is_four_significant_digits():
-    out = render_out(meta_table(build_meta()), OutputFormat.TEXT)
+    out = render_out(meta_table(build_meta()), "text")
     assert "pooled_d" in out
     assert "1.14" in out
 

@@ -39,7 +39,7 @@ from replikit.simulation import (
     draw_rows,
     summarize,
 )
-from replikit.stats_core import _t_series, regularized_incomplete_beta, t_cdf, t_pdf
+from replikit.stats_core import _t_series, t_cdf, t_pdf
 
 
 # ---------------------------------------------------------------------------
@@ -247,37 +247,45 @@ def test_summarize_permutation_invariant():
 
 
 # ---------------------------------------------------------------------------
-# Regularized incomplete beta / t distribution
+# t distribution
 # ---------------------------------------------------------------------------
 
-def test_betainc_against_scipy():
-    for a in (0.5, 1.0, 2.0, 5.0, 10.0, 50.0):
-        for b in (0.5, 1.0, 2.0, 5.0, 10.0, 50.0):
-            for x in (0.01, 0.1, 0.3, 0.5, 0.7, 0.9, 0.99):
-                mine = regularized_incomplete_beta(a, b, x)
-                ref = special.betainc(a, b, x)
-                assert abs(mine - ref) < 1e-12, (a, b, x)
+def test_t_cdf_against_scipys_incomplete_beta_with_a_parameter_of_one_half():
+    # At df = 2c, I_y(c, 1/2) = 2 t_cdf(-x) where y = df/(df + x^2), and
+    # I_y(1/2, c) = 2 t_cdf(x) - 1 where y = x^2/(df + x^2).
+    for c in (0.5, 1.0, 2.0, 5.0, 10.0, 50.0):
+        df = 2.0 * c
+        for y in (0.01, 0.1, 0.3, 0.5, 0.7, 0.9, 0.99):
+            lower = t_cdf(-math.sqrt(df * (1.0 - y) / y), df)
+            assert abs(lower - 0.5 * special.betainc(c, 0.5, y)) < 1e-12, (c, y)
+            upper = t_cdf(math.sqrt(df * y / (1.0 - y)), df)
+            assert abs(upper - (0.5 + 0.5 * special.betainc(0.5, c, y))) < 1e-12, (c, y)
 
 
-@pytest.mark.parametrize("b", [1e3, 3.7e3, 1e4, 5.5e4, 1e5, 1e6, 5e6, 1e7])
-def test_betainc_with_the_large_parameter_in_b_matches_mpmath(b):
-    # lgamma(a + b) and lgamma(b) are near b*log(b) and cancel, so their
-    # difference must come from Stirling's series on b. The points lie below
-    # the switch to the complement, x < (a + 1)/(a + b + 2).
-    for a in (0.5, 1.0, 1.5, 2.0):
-        for x in (0.01 / b, 0.1 / b, 1.0 / b):
-            with mpmath.workdps(40):
-                exact = mpmath.betainc(a, b, 0, x, regularized=True)
-            assert abs(regularized_incomplete_beta(a, b, x) / exact - 1) <= 1e-13, (a, b, x)
+# The answers t_cdf gave when it called a general incomplete beta, frozen:
+# a value, or R where it raised. Only x = 0 answers at df inf and nan, and
+# df/2 is 0 at df 5e-324.
+T_CDF_EDGE_XS = (0.0, 1e-300, 1.0, 1e300, math.inf, -math.inf, math.nan, -1.0)
+R = DomainError
+T_CDF_EDGE_GRID = [
+    (5e-324, (0.5, R, R, R, R, R, R, R)),
+    (1e-320, (0.5, 0.5, 0.5, 1.0, 1.0, 0.0, R, 0.5)),
+    (1e-310, (0.5, 0.5, 0.5, 1.0, 1.0, 0.0, R, 0.5)),
+    (0.5, (0.5, 0.5, 0.698878389158678, 1.0, 1.0, 0.0, R, 0.30112161084132205)),
+    (1e308, (0.5, 0.5, 0.5, 1.0, 1.0, 0.0, R, 0.5)),
+    (math.inf, (0.5, R, R, R, R, R, R, R)),
+    (math.nan, (0.5, R, R, R, R, R, R, R)),
+]
 
 
-def test_betainc_endpoints_and_domain():
-    assert regularized_incomplete_beta(2.0, 3.0, 0.0) == 0.0
-    assert regularized_incomplete_beta(2.0, 3.0, 1.0) == 1.0
-    with pytest.raises(DomainError):
-        regularized_incomplete_beta(0.0, 1.0, 0.5)
-    with pytest.raises(DomainError):
-        regularized_incomplete_beta(1.0, 1.0, 1.5)
+@pytest.mark.parametrize("df, answers", T_CDF_EDGE_GRID, ids=[f"df={df}" for df, _ in T_CDF_EDGE_GRID])
+def test_t_cdf_answers_or_refuses_non_finite_and_extreme_input_by_name(df, answers):
+    for x, answer in zip(T_CDF_EDGE_XS, answers):
+        if answer is R:
+            with pytest.raises(DomainError, match=re.escape(f"got x={x}, df={df}")):
+                t_cdf(x, df)
+        else:
+            assert t_cdf(x, df) == answer, (x, df)
 
 
 def test_t_cdf_against_scipy():
