@@ -4,8 +4,9 @@ float square behind d's pooled sd, the prediction half-width and Cochran's Q.
 
 The normal quantile is AS241 (``statistics.NormalDist``) after one Halley
 step on a residual that does not cancel, or AS241 alone at subnormal p. The
-t CDF evaluates the one regularized incomplete beta it needs, I_y(df/2, 1/2),
-by its continued fraction. Its quantile is Newton's method on that CDF from the
+t CDF evaluates the regularized incomplete beta by its continued fraction, in
+``_t_cdf_kernel``, which does not cancel near the median; from df 1e16 on it
+is the normal CDF. Its quantile is Newton's method on that kernel from the
 expansion about the normal quantile (from the leading tail term below df 1),
 and from df 1e4 on the expansion alone, so the quantile can be checked
 against an integration oracle. Nothing here imports numpy; the random
@@ -88,38 +89,42 @@ _BETACF_FPMIN = 1e-300
 def _betacf(a: float, b: float, x: float) -> float:
     # Continued fraction for the incomplete beta function, modified Lentz
     # evaluation. Requires x < (a+1)/(a+b+2) for fast convergence; the caller
-    # applies the symmetry transform.
+    # applies the symmetry transform. The chained comparisons and the float m
+    # do the IEEE operations of abs() and an int m with less interpreter work.
+    fpmin, eps = _BETACF_FPMIN, _BETACF_EPS
     qab = a + b
     qap = a + 1.0
     qam = a - 1.0
     c = 1.0
     d = 1.0 - qab * x / qap
-    if abs(d) < _BETACF_FPMIN:
-        d = _BETACF_FPMIN
+    if -fpmin < d < fpmin:
+        d = fpmin
     d = 1.0 / d
     h = d
-    for m in range(1, _BETACF_MAX_ITER + 1):
-        m2 = 2 * m
+    m = 0.0
+    for _ in range(_BETACF_MAX_ITER):
+        m += 1.0
+        m2 = m + m
         aa = m * (b - m) * x / ((qam + m2) * (a + m2))
         d = 1.0 + aa * d
-        if abs(d) < _BETACF_FPMIN:
-            d = _BETACF_FPMIN
+        if -fpmin < d < fpmin:
+            d = fpmin
         c = 1.0 + aa / c
-        if abs(c) < _BETACF_FPMIN:
-            c = _BETACF_FPMIN
+        if -fpmin < c < fpmin:
+            c = fpmin
         d = 1.0 / d
         h *= d * c
         aa = -(a + m) * (qab + m) * x / ((a + m2) * (qap + m2))
         d = 1.0 + aa * d
-        if abs(d) < _BETACF_FPMIN:
-            d = _BETACF_FPMIN
+        if -fpmin < d < fpmin:
+            d = fpmin
         c = 1.0 + aa / c
-        if abs(c) < _BETACF_FPMIN:
-            c = _BETACF_FPMIN
+        if -fpmin < c < fpmin:
+            c = fpmin
         d = 1.0 / d
         delta = d * c
         h *= delta
-        if abs(delta - 1.0) < _BETACF_EPS:
+        if -eps < delta - 1.0 < eps:
             return h
     raise ConvergenceError(f"incomplete beta continued fraction did not converge (a={a}, b={b}, x={x})")
 
@@ -148,40 +153,56 @@ def _lgamma_shift(a: float, b: float) -> float:
     return (a - 0.5) * math.log1p(b / a) + b * math.log(a + b) - b + tail(a + b) - tail(a)
 
 
-def t_pdf(x: float, df: float) -> float:
-    """Density of the Student-t distribution with ``df`` degrees of freedom."""
-    if df <= 0:
-        raise DomainError(f"df must be > 0, got {df}")
-    ln_f = (
-        _lgamma_shift(df / 2.0, 0.5)
-        - 0.5 * math.log(df * math.pi)
-        - ((df + 1.0) / 2.0) * math.log1p(x * x / df)
-    )
-    return math.exp(ln_f)
-
-
 _LGAMMA_HALF = math.lgamma(0.5)
 
 
+def _t_cdf_kernel(x2: float, df: float, a: float, lead: float) -> tuple[bool, float]:
+    """The t CDF at |x| = sqrt(x2) as ``(central, h)``: F(|x|) = 1/2 + h when
+    central, else F(|x|) = 1 - h and F(-|x|) = h. ``a`` is df/2 and ``lead``
+    is ``_lgamma_shift(a, 1/2) - lgamma(1/2)``, which a quantile computes once.
+
+    Past the continued fraction's switch point, y = df/(df + x2) below
+    (a + 1)/(a + 5/2), h is half the two-sided tail I_y(a, 1/2). Short of it,
+    x2 up to 3 df/(df + 2), which is below 3, h is half the central mass
+    I_y'(1/2, a), with y' = x2/(df + x2) formed directly: near the median y
+    rounds toward 1, and 1 - I_y(a, 1/2) would cancel.
+    """
+    y = df / (df + x2)
+    if y < (a + 1.0) / (a + 0.5 + 2.0):
+        if y == 0.0:  # I_0 = 0
+            return False, 0.0
+        bt = math.exp(lead + a * math.log(y) + 0.5 * math.log1p(-y))
+        return False, 0.5 * (bt * _betacf(a, 0.5, y) / a)
+    y = x2 / (df + x2)
+    if y == 0.0:  # I_0 = 0, where x2 underflows
+        return True, 0.0
+    bt = math.exp(lead + 0.5 * math.log(y) + a * math.log1p(-y))
+    return True, bt * _betacf(0.5, a, y)
+
+
+# From this df on, t_cdf is the normal CDF, within 0.158/df of it (the first
+# term in 1/df). The kernel's switch point rounds to 1 there, so its fraction
+# meets x where it converges to a wrong value, and near df 1e308 it overflows.
+_T_NORMAL_MIN_DF = 1e16
+
+
 def t_cdf(x: float, df: float) -> float:
-    """CDF of the Student-t distribution with ``df`` degrees of freedom, from the
-    two-sided tail P(|T| > |x|) = I_y(df/2, 1/2) with y = df/(df + x^2)."""
+    """CDF of the Student-t distribution with ``df`` degrees of freedom, from
+    ``_t_cdf_kernel`` below df 1e16 and the normal CDF from there on."""
     if df <= 0:
         raise DomainError(f"df must be > 0, got {df}")
     if x == 0.0:
         return 0.5
     a = df / 2.0
-    y = df / (df + x * x)
-    if not (0.0 <= y <= 1.0 and a > 0.0):
+    x2 = x * x
+    if not (a > 0.0 and df / (df + x2) >= 0.0):
         raise DomainError(f"x must be a number and df finite with df/2 > 0, got x={x}, df={df}")
-    two_tail = y  # I_0 = 0 and I_1 = 1
-    if 0.0 < y < 1.0:
-        bt = math.exp(_lgamma_shift(a, 0.5) - _LGAMMA_HALF + a * math.log(y) + 0.5 * math.log1p(-y))
-        if y < (a + 1.0) / (a + 0.5 + 2.0):
-            two_tail = bt * _betacf(a, 0.5, y) / a
-        else:
-            two_tail = 1.0 - bt * _betacf(0.5, a, 1.0 - y) / 0.5
-    return 1.0 - 0.5 * two_tail if x > 0 else 0.5 * two_tail
+    if df >= _T_NORMAL_MIN_DF:
+        return 0.5 * math.erfc(-x / math.sqrt(2.0))
+    central, h = _t_cdf_kernel(x2, df, a, _lgamma_shift(a, 0.5) - _LGAMMA_HALF)
+    if central:
+        return 0.5 + h if x > 0 else 0.5 - h
+    return 1.0 - h if x > 0 else h
 
 
 _STANDARD_NORMAL = statistics.NormalDist()
@@ -261,12 +282,14 @@ def t_quantile(p: float, df: float) -> float:
     ``normal_quantile`` itself. Otherwise Newton's method on the CDF refines
     a start: ``_t_series`` at the normal quantile from df 1 (Hill's
     expansion, CACM Algorithm 396, 1970), and below df 1 the quantile of the
-    upper tail's leading term, (df/x^2)^(df/2) / ((df/2) B(df/2, 1/2)). A
-    step that leaves the bracket the CDFs so far have set bisects it, or
-    doubles x while none has reached p; after 50 steps it only bisects. It
-    returns after a step below 1e-15 relative, or where the CDF is p
-    exactly, and raises ``ConvergenceError`` where x**2 overflows, which the
-    CDF cannot tell from infinity (the far tail below df 0.08). Antisymmetry
+    upper tail's leading term, (df/x^2)^(df/2) / ((df/2) B(df/2, 1/2)). Near
+    the median the residual is the kernel's half central mass less the exact
+    p - 1/2, which does not cancel. A step that leaves the bracket the CDFs
+    so far have set bisects it, or doubles x while none has reached p; after
+    50 steps it only bisects. It returns after a step below 1e-15 of x (of
+    max(1, x) in the tail), or where the CDF is p exactly, and raises
+    ``ConvergenceError`` where x**2 overflows, which the CDF cannot tell from
+    infinity (the far tail below df 0.08). Antisymmetry
     ``t_quantile(1 - p, df) == -t_quantile(p, df)`` holds exactly.
     """
     if not 0.0 < p < 1.0:
@@ -282,35 +305,44 @@ def t_quantile(p: float, df: float) -> float:
         return math.tan(math.pi * (p - 0.5)) if p < 0.75 else 1.0 / math.tan(math.pi * (1.0 - p))
     if df == 2.0:
         return 2.0 * (p - 0.5) / math.sqrt(2.0 * p * (1.0 - p))
+    a = df / 2.0
+    lgs = _lgamma_shift(a, 0.5)
     if df < 1.0:
         # The leading tail term: 2(1 - p) ~ (df/x^2)^(df/2) / ((df/2) B(df/2, 1/2)).
-        ln_x = 0.5 * math.log(df) - (math.log((1.0 - p) * math.sqrt(math.pi)) + math.log(df)
-                                     - _lgamma_shift(0.5 * df, 0.5)) / df
+        ln_x = 0.5 * math.log(df) - (math.log((1.0 - p) * math.sqrt(math.pi)) + math.log(df) - lgs) / df
         x = math.exp(min(ln_x, 709.0))
     else:
         x = _t_series(normal_quantile(p), df)
         if df >= _T_SERIES_MIN_DF:
             return x
+    # What one quantile holds constant: the CDF's lead, the density's log
+    # normaliser and exponent, and p - 1/2, exact here by Sterbenz.
+    lead = lgs - _LGAMMA_HALF
+    ln_norm = lgs - 0.5 * math.log(df * math.pi)
+    power = (df + 1.0) / 2.0
+    q = p - 0.5
     # [lo, hi] brackets the root; hi stays inf until a CDF reaches p.
     lo, hi = 0.0, math.inf
     for step in range(_T_QUANTILE_MAX_ITER):
-        if x * x == math.inf:
+        x2 = x * x
+        if x2 == math.inf:
             raise ConvergenceError(f"t quantile overflows: x**2 exceeds the float range (p={p}, df={df})")
-        fx = t_cdf(x, df) - p
+        central, h = _t_cdf_kernel(x2, df, a, lead)
+        fx = h - q if central else (1.0 - h) - p
         if fx == 0.0:
             return x
         if fx > 0:
             hi = x
         else:
             lo = x
-        dens = t_pdf(x, df)
+        dens = math.exp(ln_norm - power * math.log1p(x2 / df))
         step_ok = step < _T_QUANTILE_NEWTON_ITER and dens > 0.0
         if step_ok:
             x_new = x - fx / dens
             step_ok = lo < x_new < hi
         if not step_ok:
             x_new = 0.5 * (lo + hi) if hi < math.inf else 2.0 * x
-        if abs(x_new - x) <= 1e-15 * max(1.0, abs(x)):
+        if abs(x_new - x) <= 1e-15 * (x if central else max(1.0, x)):
             return x_new
         x = x_new
     raise ConvergenceError(f"t quantile iteration did not converge (p={p}, df={df})")

@@ -345,6 +345,28 @@ PI_ARGS = [
 ]
 
 
+def test_pi_at_a_tiny_level_prints_the_mpmath_half_width(capsys):
+    # df 9,998 is just below the series threshold, so the t quantile at
+    # p = 0.5000005 is Newton's on the CDF near its median. When that CDF was
+    # 1 - I_y(df/2, 1/2)/2, which cancels there, this printed a half-width of
+    # 2.74e-8 against the oracle's 3.59996e-8.
+    argv = ["pi", "--d", "0.5", "--n1", "5000", "--n2", "5000", "--rep-n1", "5000",
+            "--rep-n2", "5000", "--level", "0.000001", "--format", "json"]
+    assert main(argv) == 0
+    data = json.loads(capsys.readouterr().out)
+    p = mpmath.mpf((1.0 + 1e-6) / 2.0)
+    with mpmath.workdps(40):
+        df = mpmath.mpf(9998)
+        t = mpmath.findroot(
+            lambda t: mpmath.betainc(0.5, df / 2, 0, t * t / (df + t * t), regularized=True) / 2 - (p - 0.5),
+            2.5e-6)
+    se = standard_error_d(0.5, 5000, 5000)
+    ref = float(t) * math.sqrt(2.0) * se
+    assert abs(ref - 3.59996e-8) <= 1e-13
+    # 0.5 -/+ w rounds w by up to 5.6e-17 on the way out.
+    assert abs((data["pi_upper"] - data["pi_lower"]) / 2.0 - ref) <= 1e-15
+
+
 def test_pi_text_with_check(capsys):
     assert main(PI_ARGS + ["--check", "0.122"]) == 0
     out = capsys.readouterr().out

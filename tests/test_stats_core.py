@@ -39,7 +39,7 @@ from replikit.simulation import (
     draw_rows,
     summarize,
 )
-from replikit.stats_core import _t_series, t_cdf, t_pdf
+from replikit.stats_core import _betacf, _lgamma_shift, _t_series, t_cdf
 
 
 # ---------------------------------------------------------------------------
@@ -264,7 +264,9 @@ def test_t_cdf_against_scipys_incomplete_beta_with_a_parameter_of_one_half():
 
 # The answers t_cdf gave when it called a general incomplete beta, frozen:
 # a value, or R where it raised. Only x = 0 answers at df inf and nan, and
-# df/2 is 0 at df 5e-324.
+# df/2 is 0 at df 5e-324. At df 1e308, x = +-1 read 0.5, where y = df/(df + 1)
+# rounds to 1; they now read Phi(+-1), to the last bit at x = 1 and one ulp
+# above mpmath's 0.15865525393145705 at x = -1.
 T_CDF_EDGE_XS = (0.0, 1e-300, 1.0, 1e300, math.inf, -math.inf, math.nan, -1.0)
 R = DomainError
 T_CDF_EDGE_GRID = [
@@ -272,7 +274,7 @@ T_CDF_EDGE_GRID = [
     (1e-320, (0.5, 0.5, 0.5, 1.0, 1.0, 0.0, R, 0.5)),
     (1e-310, (0.5, 0.5, 0.5, 1.0, 1.0, 0.0, R, 0.5)),
     (0.5, (0.5, 0.5, 0.698878389158678, 1.0, 1.0, 0.0, R, 0.30112161084132205)),
-    (1e308, (0.5, 0.5, 0.5, 1.0, 1.0, 0.0, R, 0.5)),
+    (1e308, (0.5, 0.5, 0.8413447460685429, 1.0, 1.0, 0.0, R, 0.15865525393145707)),
     (math.inf, (0.5, R, R, R, R, R, R, R)),
     (math.nan, (0.5, R, R, R, R, R, R, R)),
 ]
@@ -288,14 +290,79 @@ def test_t_cdf_answers_or_refuses_non_finite_and_extreme_input_by_name(df, answe
             assert t_cdf(x, df) == answer, (x, df)
 
 
+def t_cdf_mpmath(x, df):
+    """The t CDF at x > 0 in mpmath, 1/2 + I_y(1/2, df/2)/2 with y = x^2/(df + x^2),
+    at a working precision that grows with log10(df), so that y keeps x^2/df."""
+    with mpmath.workdps(40 + int(math.log10(df))):
+        x, df = mpmath.mpf(x), mpmath.mpf(df)
+        return 0.5 + mpmath.betainc(0.5, df / 2, 0, x * x / (df + x * x), regularized=True) / 2
+
+
+@pytest.mark.parametrize("df", [1, 2, 7.5, 58, 9998, 1e5, 1e8, 1e12, 1e15, 1e16, 1e20, 1e50, 1e150, 1e300])
+def test_t_cdf_near_the_median_matches_mpmath_from_df_1_to_1e300(df):
+    # Short of sqrt(3) the CDF is 1/2 plus half the central mass, which does
+    # not cancel. As 1 - I_y(df/2, 1/2)/2 with y = df/(df + x^2) it was 3.2e-6
+    # off at (1, 1e12) and read 0.5 at (1, 1e16), where y rounds to 1. The
+    # worst point here reads 1.5e-15.
+    for x in (1e-10, 1e-5, 0.01, 0.1, 0.5, 1.0, 1.3, 1.5, 1.7):
+        assert abs(t_cdf(x, df) - t_cdf_mpmath(x, df)) <= 1e-12, x
+
+
+# _betacf(a, b, x) on both sides of t_cdf's switch, b = 1/2 past it and a = 1/2
+# short of it, at x from near 0 to just below (a + 1)/(a + b + 2), frozen bit
+# for bit: its Lentz loop was rewritten with the same IEEE operations in the
+# same order, and any reordering shows here.
+BETACF_BITS = [
+    (0.5, 0.5, 0.0005, 1.0003334667238346),
+    (0.5, 0.5, 0.25, 1.2091995761561452),
+    (0.5, 0.5, 0.4995, 1.5697971115269829),
+    (0.5, 0.5, 1e-12, 1.0000000000006668),
+    (1.0, 0.5, 0.0005714285714285714, 1.0004287756122974),
+    (1.0, 0.5, 0.2857142857142857, 1.2825116963394625),
+    (1.0, 0.5, 0.5708571428571428, 1.8446222677789763),
+    (0.5, 1.0, 1e-12, 1.000000000001),
+    (0.5, 1.0, 0.21428571428571427, 1.2727272727272727),
+    (0.5, 1.0, 0.4281428571428571, 1.748688483637272),
+    (2.5, 0.5, 0.0007, 1.000600373571063),
+    (2.5, 0.5, 0.35, 1.4373053350920164),
+    (2.5, 0.5, 0.6992999999999999, 2.659313513869577),
+    (0.5, 2.5, 1e-12, 1.000000000002),
+    (0.5, 2.5, 0.15, 1.3912358862107443),
+    (0.5, 2.5, 0.29969999999999997, 2.0885600649350535),
+    (20.0, 0.5, 0.0009333333333333333, 1.0009119429143551),
+    (20.0, 0.5, 0.4666666666666667, 1.8380708003357258),
+    (20.0, 0.5, 0.9324, 11.983335541497276),
+    (0.5, 20.0, 1e-12, 1.0000000000136666),
+    (0.5, 20.0, 0.03333333333333333, 1.61983396364431),
+    (0.5, 20.0, 0.06659999999999999, 2.7632017733776606),
+    (5000.0, 0.5, 0.0009997001499250375, 1.0010006004002803),
+    (5000.0, 0.5, 0.49985007496251876, 1.999200759236829),
+    (5000.0, 0.5, 0.9987004497751125, 720.4870719051494),
+    (0.5, 5000.0, 1e-12, 1.0000000033336667),
+    (0.5, 5000.0, 0.00014992503748125936, 1.6880128518149116),
+    (0.5, 5000.0, 0.0002995502248875562, 2.9685209613659738),
+]
+
+
+def test_betacf_keeps_its_bits():
+    assert [_betacf(a, b, x) for a, b, x, _ in BETACF_BITS] == [v for *_, v in BETACF_BITS]
+
+
 def test_t_cdf_against_scipy():
     for df in (1, 2, 5, 10, 30, 100, 1e5):
         for x in (-8.0, -3.0, -1.5, -0.5, 0.0, 0.5, 1.5, 3.0, 8.0):
             assert abs(t_cdf(x, df) - stats.t.cdf(x, df)) < 1e-10, (x, df)
 
 
+def t_pdf(x, df):
+    """The t density as t_quantile's Newton steps form it: its log normaliser
+    is _lgamma_shift(df/2, 1/2), which t_cdf's lead shares, less log(df*pi)/2."""
+    ln_norm = _lgamma_shift(df / 2.0, 0.5) - 0.5 * math.log(df * math.pi)
+    return math.exp(ln_norm - (df + 1.0) / 2.0 * math.log1p(x * x / df))
+
+
 def test_t_pdf_against_scipy():
-    for df in (1, 2, 10, 100):
+    for df in (1, 2, 10, 100, 5000):
         for x in (-4.0, -1.0, 0.0, 1.0, 4.0):
             assert abs(t_pdf(x, df) - stats.t.pdf(x, df)) < 1e-12
 
@@ -432,20 +499,44 @@ def test_t_quantile_closed_forms_at_df_1_and_2(df):
 REPLICATION_GRID = [(p, 2 * m - 2) for m in range(5, 401) for p in (0.9, 0.95, 0.975, 0.995)]
 
 
-def test_t_quantile_takes_few_cdf_evaluations_on_the_replication_grid(monkeypatch):
-    # Newton from the series start reads 4.92 CDF evaluations a quantile; a
-    # doubling bracket and a start at the normal quantile took 9.57.
+def count_cdf_evaluations(monkeypatch, points):
+    """The CDF evaluations t_quantile makes at each (p, df), counted through
+    the kernel it calls once per evaluation."""
+    kernel = stats_core._t_cdf_kernel
     calls = 0
 
-    def counting_t_cdf(x, df):
+    def counting_kernel(*args):
         nonlocal calls
         calls += 1
-        return t_cdf(x, df)
+        return kernel(*args)
 
-    monkeypatch.setattr(stats_core, "t_cdf", counting_t_cdf)
-    for p, df in REPLICATION_GRID:
+    monkeypatch.setattr(stats_core, "_t_cdf_kernel", counting_kernel)
+    counts = []
+    for p, df in points:
+        calls = 0
         t_quantile(p, df)
-    assert calls / len(REPLICATION_GRID) <= 5.5, calls / len(REPLICATION_GRID)
+        counts.append(calls)
+    return counts
+
+
+def test_t_quantile_takes_few_cdf_evaluations_on_the_replication_grid(monkeypatch):
+    # Newton from the series start reads 3.48 CDF evaluations a quantile; with
+    # the CDF at p = 0.9 formed as 1 - I_y(df/2, 1/2)/2 it read 4.90, and a
+    # doubling bracket and a start at the normal quantile took 9.57.
+    counts = count_cdf_evaluations(monkeypatch, REPLICATION_GRID)
+    assert sum(counts) / len(counts) <= 3.6, sum(counts) / len(counts)
+
+
+def test_t_quantile_takes_few_cdf_evaluations_near_the_median(monkeypatch):
+    # 60 log-spaced df from 0.05 to 9,999 by the 21 points of P_GRID_FAR below
+    # 1/2 + 6e-3. When the CDF there cancelled, its noise kept Newton's steps
+    # above the relative stop: a median 27 and a maximum 94 evaluations. They
+    # read 3 and 16.
+    points = [(p, float(df)) for df in np.logspace(math.log10(0.05), math.log10(9999), 60)
+              for p in P_GRID_FAR if p - 0.5 < 6e-3]
+    counts = count_cdf_evaluations(monkeypatch, points)
+    assert len(counts) == 1260
+    assert np.median(counts) <= 3 and max(counts) <= 20, (np.median(counts), max(counts))
 
 
 def test_t_quantile_on_the_replication_grid_is_polished():
@@ -454,6 +545,14 @@ def test_t_quantile_on_the_replication_grid_is_polished():
     # returned unpolished would read up to 1e-3 at df 8 (test_t_series_known_answers).
     worst = max(t_quantile_rel_error(t_quantile(p, df), p, df) for p, df in REPLICATION_GRID)
     assert worst <= 2e-12, worst
+
+
+def test_t_quantile_near_the_median_below_the_series_threshold():
+    # With the CDF formed as 1 - I_y(df/2, 1/2)/2, which cancels near the
+    # median, this read 9.54e-7, 3.8 times the root.
+    x = t_quantile(0.5000001, 9998)
+    assert abs(x - 2.5066909523e-7) <= 1e-10 * x
+    assert t_quantile_rel_error(x, 0.5000001, 9998) <= 1e-14
 
 
 def leading_tail_quantile(p, df):
@@ -505,7 +604,7 @@ def test_t_quantile_far_tail_below_df_1(p, df, ref):
 @pytest.mark.parametrize(
     "function, args, message",
     [
-        (t_pdf, (0.0, -1), "df must be > 0, got -1"),
+        (t_quantile, (0.5, -1), "df must be > 0, got -1"),
         (t_cdf, (1.0, 0), "df must be > 0, got 0"),
         (normal_quantile, (0.0,), "p must be in (0, 1), got 0.0"),
         (normal_quantile, (1.0,), "p must be in (0, 1), got 1.0"),
