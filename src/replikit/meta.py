@@ -2,9 +2,9 @@
 
 A ``StudySummary`` is one study: two arm summaries or a given (d, se). A
 ``StudyTable`` holds studies as the ten columns of the study CSV.
-``parse_study_csv`` reads a file into one column by column, with the row
-checks of ``SampleSummary`` and ``StudySummary``; only a file that fails them
-takes the row loop, which names the first fault with its row number.
+``parse_study_csv`` builds one column by column, with the row checks of
+``SampleSummary`` and ``StudySummary``; a file that fails them takes the row
+loop, which builds nothing and names the first fault with its row number.
 ``serialize_study_csv`` writes any study sequence from its columns.
 ``fixed_effect_pool`` pools standardized mean differences by inverse
 variance, with heterogeneity statistics; ``replikit.svg`` plots the result.
@@ -97,21 +97,17 @@ class StudyTable(Sequence[StudySummary]):
     se: tuple[float | None, ...]
 
     @classmethod
-    def _from_rows(cls, rows: Sequence[tuple]) -> StudyTable:
-        """The table of rows given as ten-value tuples in column order."""
-        return cls(*(zip(*rows) if rows else ((),) * 10))
-
-    @classmethod
     def of(cls, studies: Sequence[StudySummary]) -> StudyTable:
         """``studies`` as a table: a table as it is, else one row per study."""
         if isinstance(studies, StudyTable):
             return studies
-        return cls._from_rows([
+        rows = [
             (s.study_id, s.label, s.n1, s.n2, None, None, None, None, s.d, s.se) if s.arm1 is None
             else (s.study_id, s.label, s.arm1.n, s.arm2.n, s.arm1.mean, s.arm2.mean,
                   s.arm1.sd, s.arm2.sd, None, None)
             for s in studies
-        ])
+        ]
+        return cls(*(zip(*rows) if rows else ((),) * 10))
 
     def __len__(self) -> int:
         return len(self.study_id)
@@ -170,7 +166,9 @@ def _parse_numbers(row: list[str], row_num: int) -> list[float | int | None]:
 def _column_table(rows: list[list[str]]) -> StudyTable | None:
     """The data rows as a table, read and checked by column; None at any irregularity."""
     rows = [row for row in rows if "".join(row).strip()]
-    if not rows or set(map(len, rows)) != {len(STUDY_COLUMNS)}:
+    if not rows:
+        return StudyTable.of([])
+    if set(map(len, rows)) != {len(STUDY_COLUMNS)}:
         return None
     # Every cell is stripped, and read as _parse_numbers reads it.
     ids, labels, *cells = (tuple(map(str.strip, column)) for column in zip(*rows))
@@ -232,10 +230,9 @@ def parse_study_csv(content: str | bytes) -> StudyTable:
             + ("; " + "; ".join(detail) if detail else "; wrong column order")
         )
 
-    table = _column_table(rows[1:])  # None at a fault, which the row loop below names
+    table = _column_table(rows[1:])  # the one builder; None at a fault, which the loop names
     if table is not None:
         return table
-    records = []
     for row_num, row in enumerate(islice(rows, 1, None), start=1):
         if not "".join(row).strip():
             continue
@@ -267,13 +264,11 @@ def parse_study_csv(content: str | bytes) -> StudyTable:
             if arms_complete:
                 _check_arm(n1, mean1, sd1)
                 _check_arm(n2, mean2, sd2)
-                cells[6:] = None, None  # a d or se beside complete arms is ignored
             else:
                 _check_study(study_id, d, se, n1, n2)
         except DomainError as exc:
             raise ParseError(f"row {row_num}: {exc}") from None
-        records.append((study_id, row[1].strip(), *cells))
-    return StudyTable._from_rows(records)
+    raise ParseError("study file rejected, but no row check names a fault")
 
 
 def serialize_study_csv(studies: Sequence[StudySummary]) -> str:

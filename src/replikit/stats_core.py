@@ -289,8 +289,9 @@ def t_quantile(p: float, df: float) -> float:
     50 steps it only bisects. It returns after a step below 1e-15 of x (of
     max(1, x) in the tail), or where the CDF is p exactly, and raises
     ``ConvergenceError`` where x**2 overflows, which the CDF cannot tell from
-    infinity (the far tail below df 0.08). Antisymmetry
-    ``t_quantile(1 - p, df) == -t_quantile(p, df)`` holds exactly.
+    infinity (the far tail below df 0.08). Below 1/2 it is
+    ``-t_quantile(1 - p, df)``, so antisymmetry holds exactly, and it refuses
+    p <= 2^-54, where 1 - p rounds to 1.
     """
     if not 0.0 < p < 1.0:
         raise DomainError(f"p must be in (0, 1), got {p}")
@@ -299,6 +300,8 @@ def t_quantile(p: float, df: float) -> float:
     if p == 0.5:
         return 0.0
     if p < 0.5:
+        if 1.0 - p == 1.0:
+            raise DomainError(f"p must be above 2^-54, where 1 - p rounds to 1; got {p!r}")
         return -t_quantile(1.0 - p, df)
     # Closed forms at df 1 and 2, from p - 0.5 and 1 - p, both exact here.
     if df == 1.0:

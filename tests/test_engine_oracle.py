@@ -57,6 +57,24 @@ def test_category_counts_match_the_noncentral_t(n, delta, seed):
     assert_chi_square_fits(list(RUNS * exact_category_probabilities(n, delta)), observed)
 
 
+# The n x delta grid: one batch of GRID_RUNS runs per cell, seeded 2901, 2902,
+# ... in the order below (n outer, delta inner). Seeds and size were fixed
+# before the first run.
+GRID_RUNS = 4_000
+GRID = [
+    (n, delta, 2901 + 5 * i + j)
+    for i, n in enumerate((*range(2, 11), 30))
+    for j, delta in enumerate((0.0, 0.2, -0.2, 0.5, 1.0))
+]
+
+
+@pytest.mark.parametrize("n, delta, seed", GRID)
+def test_category_counts_match_the_noncentral_t_across_the_grid(n, delta, seed):
+    config = SimulationConfig(runs=GRID_RUNS, n_per_arm=n, true_effect_d=delta, master_seed=seed)
+    observed = [round(f * GRID_RUNS) for f in tabulate_categories(run_simulation(config)).values()]
+    assert_chi_square_fits(list(GRID_RUNS * exact_category_probabilities(n, delta)), observed)
+
+
 def assert_chi_square_fits(expected: list[float], observed: list[int]) -> None:
     expected, observed = pool_tails(expected, observed)
     assert min(expected) >= MIN_EXPECTED and len(expected) >= 3

@@ -625,6 +625,50 @@ def test_t_quantile_domain():
         t_quantile(0.5, 0.0)
 
 
+@pytest.mark.parametrize("p", [2.0**-54, 2.0**-60, 5e-324])
+def test_t_quantile_refuses_the_lower_tail_by_the_callers_p(p):
+    # Below 1/2 the quantile is solved from 1 - p, which rounds to 1 here.
+    with pytest.raises(DomainError) as exc:
+        t_quantile(p, 5)
+    assert str(exc.value) == f"p must be above 2^-54, where 1 - p rounds to 1; got {p!r}"
+
+
+# (p, df, t_quantile(p, df)) as the lower tail gave them before p <= 2^-54
+# was refused: boundary points, 13 points drawn by random.Random(2901) with
+# p = 2**uniform(-53.99, -1) and df = 10**uniform(-0.3, 4.7) to 3 places,
+# and the closed forms and series branch.
+LOWER_TAIL_BITS = [
+    (5.551115123125784e-17, 5.0, -2369.0557579561532),
+    (1.1102230246251565e-16, 5.0, -2369.0557579561532),
+    (0.49999999999999994, 30.0, -0.0),
+    (2.531152673337241e-15, 17596.167, -7.83116916238945),
+    (1.437638504537666e-13, 1.062, -426604206000.9606),
+    (4.526845321522469e-07, 7.203, -15.370851474021473),
+    (0.0008158482503575046, 5797.453, -3.1516649851819087),
+    (2.6390096157897793e-05, 16.005, -5.4557917643953395),
+    (4.883206276085723e-13, 6.077, -192.58735071916118),
+    (6.73551751998551e-07, 20.175, -6.762174851445142),
+    (0.0015430993963181084, 0.896, -376.0138240217843),
+    (2.727599438111425e-16, 63.893, -10.817124483870158),
+    (2.1193327649695825e-12, 6032.511, -6.943086255814753),
+    (2.256698886200442e-15, 9.145, -96.7870360491271),
+    (1.2315160231707452e-09, 1.943, -26444.08740148978),
+    (1.4015302414772453e-16, 18.274, -27.967562905471514),
+    (1e-06, 1.0, -318309.88617359026),
+    (1e-10, 2.0, -70710.67518273447),
+    (0.025, 10000.0, -1.960201239890626),
+]
+
+
+def test_t_quantile_keeps_its_bits_in_both_tails_above_2_to_the_minus_54():
+    assert math.nextafter(2.0**-54, 1.0) == LOWER_TAIL_BITS[0][0]
+    got = [t_quantile(p, df).hex() for p, df, _ in LOWER_TAIL_BITS]
+    assert got == [x.hex() for *_, x in LOWER_TAIL_BITS]
+    # The upper tail at each mirrored p is the same quantile, sign flipped.
+    got = [(-t_quantile(1.0 - p, df)).hex() for p, df, _ in LOWER_TAIL_BITS]
+    assert got == [x.hex() for *_, x in LOWER_TAIL_BITS]
+
+
 def test_normal_quantile_against_scipy():
     for p in (1e-10, 1e-6, 0.001, 0.025, 0.2, 0.5, 0.8, 0.975, 0.999, 1 - 1e-6):
         assert abs(normal_quantile(p) - stats.norm.ppf(p)) < 1e-9

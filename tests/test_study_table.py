@@ -398,6 +398,21 @@ def test_empty_table_is_falsy_and_equals_an_empty_list():
     assert not table and table == [] and len(table.se) == 0
 
 
+@pytest.mark.parametrize("rows", [[], [[]], [[" "] * 10], [[""] * 10, [" \t"] * 10, ["\u3000"]]])
+def test_the_column_pass_builds_the_empty_table(rows):
+    # no_row_loop() cannot see these files: no cell of theirs is ever parsed.
+    table = meta._column_table(rows)
+    assert isinstance(table, StudyTable) and table == [] and len(table.label) == 0
+
+
+@pytest.mark.parametrize("bom", ["", "\ufeff"])
+@pytest.mark.parametrize("data", ["", "\n", "\n,,,,,,,,,\n \n"])
+def test_a_file_without_data_rows_parses_to_the_empty_table(bom, data):
+    for content in (bom + HEADER + data, (bom + HEADER + data).encode("utf-8")):
+        table = parse_study_csv(content)
+        assert isinstance(table, StudyTable) and table == [] and len(table.study_id) == 0
+
+
 def test_table_effects_follow_row_order():
     table = parse_study_csv(TWO_FORMS)
     arms = cohens_d(table[0].arm1, table[0].arm2)
