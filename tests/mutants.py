@@ -6,8 +6,7 @@ replacement there, runs only the mutant's test ids with pytest and prints
 ``killed`` or ``survived``. It first runs every named id on an unmutated
 copy, so that a killed mutant means the mutation, not a broken id.
 
-    python tests/mutants.py            # every mutant
-    python tests/mutants.py ddof-0     # the named ones only
+    python tests/mutants.py
 
 It exits 1 if any mutant survives that is not listed as expected to, and 2
 if a replacement no longer matches its file or a test id is wrong. It is
@@ -135,26 +134,21 @@ def copy_tree(scratch: Path, name: str) -> Path:
     return tree
 
 
-def main(argv: list[str]) -> int:
-    unknown = set(argv) - {m.name for m in MUTANTS}
-    if unknown:
-        print(f"unknown mutants: {sorted(unknown)}", file=sys.stderr)
-        return 2
-    mutants = [m for m in MUTANTS if not argv or m.name in argv]
+def main() -> int:
     start = time.perf_counter()
     with tempfile.TemporaryDirectory(prefix="replikit-mutants-") as scratch:
         scratch = Path(scratch)
-        for m in mutants:
+        for m in MUTANTS:
             if (ROOT / m.file).read_text(encoding="utf-8").count(m.old) != 1:
                 print(f"{m.name}: its old text is not in {m.file} exactly once", file=sys.stderr)
                 return 2
-        tests = tuple(dict.fromkeys(t for m in mutants for t in m.tests))
+        tests = tuple(dict.fromkeys(t for m in MUTANTS for t in m.tests))
         code = run_tests(copy_tree(scratch, "unmutated"), tests)
         if code != 0:
             print(f"the unmutated tree fails its own ids (pytest exit {code})", file=sys.stderr)
             return 2
         unexpected = 0
-        for m in mutants:
+        for m in MUTANTS:
             tree = copy_tree(scratch, m.name)
             path = tree / m.file
             path.write_text(path.read_text(encoding="utf-8").replace(m.old, m.new), encoding="utf-8")
@@ -168,10 +162,10 @@ def main(argv: list[str]) -> int:
             print(f"{verdict:9} {m.name:30} {time.perf_counter() - t0:5.1f} s{note}")
             unexpected += code == 0 and not m.survives
             shutil.rmtree(tree)
-    print(f"{len(mutants)} mutants, {unexpected} unexpected survivors, "
+    print(f"{len(MUTANTS)} mutants, {unexpected} unexpected survivors, "
           f"{time.perf_counter() - start:.0f} s")
     return 1 if unexpected else 0
 
 
 if __name__ == "__main__":
-    sys.exit(main(sys.argv[1:]))
+    sys.exit(main())

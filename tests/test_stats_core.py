@@ -636,37 +636,57 @@ def test_t_quantile_refuses_the_lower_tail_by_the_callers_p(p):
 # (p, df, t_quantile(p, df)) as the lower tail gave them before p <= 2^-54
 # was refused: boundary points, 13 points drawn by random.Random(2901) with
 # p = 2**uniform(-53.99, -1) and df = 10**uniform(-0.3, 4.7) to 3 places,
-# and the closed forms and series branch.
+# and the closed forms and series branch. These are today's bits, not the
+# true quantiles: a row marked "lower tail" is off against scipy by the
+# relative error shown, because 1 - p rounds (the FOUND line in CHANGES.md on
+# t_quantile's lower tail), and the -0.0 row is the FOUND line on the rounding
+# just below 1/2. A fix of either moves those rows.
 LOWER_TAIL_BITS = [
-    (5.551115123125784e-17, 5.0, -2369.0557579561532),
-    (1.1102230246251565e-16, 5.0, -2369.0557579561532),
-    (0.49999999999999994, 30.0, -0.0),
-    (2.531152673337241e-15, 17596.167, -7.83116916238945),
-    (1.437638504537666e-13, 1.062, -426604206000.9606),
+    (5.551115123125784e-17, 5.0, -2369.0557579561532),  # lower tail, 0.15
+    (1.1102230246251565e-16, 5.0, -2369.0557579561532),  # lower tail, 2.7e-2
+    (0.49999999999999994, 30.0, -0.0),  # just below 1/2, 1.0
+    (2.531152673337241e-15, 17596.167, -7.83116916238945),  # lower tail, 1.4e-4
+    (1.437638504537666e-13, 1.062, -426604206000.9606),  # lower tail, 2.9e-4
     (4.526845321522469e-07, 7.203, -15.370851474021473),
     (0.0008158482503575046, 5797.453, -3.1516649851819087),
     (2.6390096157897793e-05, 16.005, -5.4557917643953395),
-    (4.883206276085723e-13, 6.077, -192.58735071916118),
+    (4.883206276085723e-13, 6.077, -192.58735071916118),  # lower tail, 2.3e-5
     (6.73551751998551e-07, 20.175, -6.762174851445142),
     (0.0015430993963181084, 0.896, -376.0138240217843),
-    (2.727599438111425e-16, 63.893, -10.817124483870158),
-    (2.1193327649695825e-12, 6032.511, -6.943086255814753),
-    (2.256698886200442e-15, 9.145, -96.7870360491271),
-    (1.2315160231707452e-09, 1.943, -26444.08740148978),
-    (1.4015302414772453e-16, 18.274, -27.967562905471514),
+    (2.727599438111425e-16, 63.893, -10.817124483870158),  # lower tail, 4.9e-3
+    (2.1193327649695825e-12, 6032.511, -6.943086255814753),  # lower tail, 2.7e-7
+    (2.256698886200442e-15, 9.145, -96.7870360491271),  # lower tail, 3.0e-3
+    (1.2315160231707452e-09, 1.943, -26444.08740148978),  # lower tail, 6.7e-9
+    (1.4015302414772453e-16, 18.274, -27.967562905471514),  # lower tail, 2.3e-2
     (1e-06, 1.0, -318309.88617359026),
-    (1e-10, 2.0, -70710.67518273447),
+    (1e-10, 2.0, -70710.67518273447),  # lower tail, 4.1e-8
     (0.025, 10000.0, -1.960201239890626),
+]
+
+# The upper tail, which every CLI call and the replication design reach, is
+# pinned at its own points, frozen before the lower tail's refusal, so that a
+# new lower tail cannot hide a change to it.
+UPPER_TAIL_BITS = [
+    (0.975, 30.0, 2.042272456301236),
+    (0.995, 58.0, 2.6632869535376584),
+    (0.9, 5.0, 1.4758840488244784),
+    (0.5000005, 100.0, 1.2564512900824922e-06),
+    (0.9999999999, 5.0, 156.825600582265),
+    (0.75, 1.0, 1.0000000000000002),
+    (0.975, 2.0, 4.302652729749462),
+    (0.999999, 0.5, 102849115625.71864),
+    (0.8, 20000.0, 0.8416392059881509),
+    (0.9999999999999999, 3.0, 188110.53345462767),
+    (0.5000000000000001, 30.0, 2.8061999680899104e-16),
+    (0.9995, 9.7, 4.639677883375692),
 ]
 
 
 def test_t_quantile_keeps_its_bits_in_both_tails_above_2_to_the_minus_54():
     assert math.nextafter(2.0**-54, 1.0) == LOWER_TAIL_BITS[0][0]
-    got = [t_quantile(p, df).hex() for p, df, _ in LOWER_TAIL_BITS]
-    assert got == [x.hex() for *_, x in LOWER_TAIL_BITS]
-    # The upper tail at each mirrored p is the same quantile, sign flipped.
-    got = [(-t_quantile(1.0 - p, df)).hex() for p, df, _ in LOWER_TAIL_BITS]
-    assert got == [x.hex() for *_, x in LOWER_TAIL_BITS]
+    for table in (LOWER_TAIL_BITS, UPPER_TAIL_BITS):
+        got = [t_quantile(p, df).hex() for p, df, _ in table]
+        assert got == [x.hex() for *_, x in table]
 
 
 def test_normal_quantile_against_scipy():

@@ -393,9 +393,12 @@ def test_table_indexes_slices_and_compares_like_a_list():
         table[2]
 
 
-def test_empty_table_is_falsy_and_equals_an_empty_list():
-    table = parse_study_csv(HEADER + "\n")
-    assert not table and table == [] and len(table.se) == 0
+@pytest.mark.parametrize("bom", ["", "\ufeff"])
+@pytest.mark.parametrize("data", ["", "\n", "\n,,,,,,,,,\n \n"])
+@pytest.mark.parametrize("encode", [str, lambda s: s.encode("utf-8")], ids=["str", "bytes"])
+def test_empty_table_is_falsy_and_equals_an_empty_list(bom, data, encode):
+    table = parse_study_csv(encode(bom + HEADER + data))
+    assert isinstance(table, StudyTable) and not table and table == [] and len(table.se) == 0
 
 
 @pytest.mark.parametrize("rows", [[], [[]], [[" "] * 10], [[""] * 10, [" \t"] * 10, ["\u3000"]]])
@@ -403,14 +406,6 @@ def test_the_column_pass_builds_the_empty_table(rows):
     # no_row_loop() cannot see these files: no cell of theirs is ever parsed.
     table = meta._column_table(rows)
     assert isinstance(table, StudyTable) and table == [] and len(table.label) == 0
-
-
-@pytest.mark.parametrize("bom", ["", "\ufeff"])
-@pytest.mark.parametrize("data", ["", "\n", "\n,,,,,,,,,\n \n"])
-def test_a_file_without_data_rows_parses_to_the_empty_table(bom, data):
-    for content in (bom + HEADER + data, (bom + HEADER + data).encode("utf-8")):
-        table = parse_study_csv(content)
-        assert isinstance(table, StudyTable) and table == [] and len(table.study_id) == 0
 
 
 def test_table_effects_follow_row_order():
