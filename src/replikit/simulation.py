@@ -4,15 +4,19 @@ module that needs numpy.
 Experiments are generated in standardized units (arm X shifted by the true
 effect, both arms unit sd before contamination scaling), so every computed d
 is bit-identical across (mu, sigma) choices at a fixed seed. Experiment i
-draws from its own counter-based Philox substream i. A batch is two columns,
-d and se, one row per experiment; rows are drawn into a matrix and reduced in
-vectorised chunks, and every table downstream reads those columns. The
-module also holds the scalar draw kernels, ``summarize`` and the batch CSV
-export.
+draws from its own counter-based Philox substream i, keyed [seed, i]. A batch
+is two columns, d and se, one row per experiment; rows are drawn into a
+matrix and reduced in vectorised chunks, and every table downstream reads
+those columns. Each row is drawn from one shared Philox, re-keyed to row i by
+writing key word i, a zero counter and an empty buffer into numpy's C state
+once that state's layout has been checked, and by assigning the full state
+dict where the check fails. The module also holds the scalar draw kernels,
+``summarize`` and the batch CSV export.
 """
 
 from __future__ import annotations
 
+import ctypes
 import math
 from dataclasses import dataclass
 from typing import Sequence
@@ -76,6 +80,9 @@ def _philox_state(master_seed: int, index: int) -> dict:
     # fresh Philox(key=[seed, index]) starts from (counter 0, empty buffer);
     # assigning it re-keys a bit generator without building a new one, and
     # without the OS-entropy SeedSequence that Philox(key=...) also runs.
+    # draw_rows assigns it once per call, through _philox_words, and then
+    # stores only the key, counter and buffer position per row; it assigns
+    # it per row only where _philox_words finds another struct layout.
     return {
         "bit_generator": "Philox",
         "state": {
@@ -87,6 +94,49 @@ def _philox_state(master_seed: int, index: int) -> dict:
         "has_uint32": 0,
         "uinteger": 0,
     }
+
+
+class _PhiloxState(ctypes.Structure):
+    # numpy's philox_state (numpy/random/src/philox/philox.h), which the
+    # Philox object holds inline with the key and counter its pointers name.
+    # The layout is private to numpy, so _philox_words checks it before use.
+    _fields_ = [
+        ("ctr", ctypes.c_void_p),  # philox4x64_ctr_t *: 4 uint64 words
+        ("key", ctypes.c_void_p),  # philox4x64_key_t *: 2 uint64 words
+        ("buffer_pos", ctypes.c_int),
+        ("buffer", ctypes.c_uint64 * 4),
+        ("has_uint32", ctypes.c_int),
+        ("uinteger", ctypes.c_uint32),
+    ]
+
+
+def _philox_words(
+    bitgen: np.random.Philox, master_seed: int, index: int
+) -> tuple[_PhiloxState, ctypes.Array, ctypes.Array] | None:
+    """Key ``bitgen`` to ``(master_seed, index)`` through its state setter and
+    return its C state, counter and key as ctypes views, or None when that
+    state does not read back as ``_PhiloxState`` says it should.
+
+    The struct and the words its pointers name must lie inside the bit
+    generator object, and reading through them must give the key just set, a
+    zero counter and an empty buffer. The views are valid while ``bitgen``
+    lives.
+    """
+    bitgen.state = _philox_state(master_seed, index)
+    start = id(bitgen)
+    end = start + type(bitgen).__basicsize__
+    address = bitgen.ctypes.state_address
+    if not start <= address <= end - ctypes.sizeof(_PhiloxState):
+        return None
+    state = _PhiloxState.from_address(address)
+    for pointer, words in ((state.ctr, 4), (state.key, 2)):
+        if pointer is None or not start <= pointer <= end - 8 * words:
+            return None
+    ctr = (ctypes.c_uint64 * 4).from_address(state.ctr)
+    key = (ctypes.c_uint64 * 2).from_address(state.key)
+    if key[:] != [master_seed, index] or any(ctr) or state.buffer_pos != 4:
+        return None
+    return state, ctr, key
 
 
 # ---------------------------------------------------------------------------
@@ -133,7 +183,11 @@ def draw_rows(
     Row r equals ``draw_normal(gen, 0.0, 1.0, n)`` (or, given ``spec``,
     ``draw_contaminated(gen, 0.0, 1.0, spec, n)``) on
     ``derive_substream(master_seed, indices[r]).generator()``: one Philox is
-    re-keyed for each row instead of being built per substream.
+    re-keyed for each row instead of being built per substream. A row is
+    re-keyed by three stores into the Philox's C state (key word 1, counter
+    word 0 and the buffer position) once ``_philox_words`` has checked that
+    state's layout for this call, and by assigning the ``_philox_state`` dict
+    where the check fails.
     """
     if n < 1:
         raise DomainError(f"n must be >= 1, got {n}")
@@ -143,13 +197,22 @@ def draw_rows(
         derive_substream(master_seed, indices[-1])
     z = np.empty((len(indices), n))
     u = None if spec is None else np.empty_like(z)
-    state = _philox_state(master_seed, 0)
-    key = state["state"]["key"]
     bitgen = np.random.Philox(0)
     gen = np.random.Generator(bitgen)
+    words = _philox_words(bitgen, master_seed, indices[0]) if indices else None
+    if words is None:
+        state = _philox_state(master_seed, 0)
+        key = state["state"]["key"]
+    else:
+        c_state, ctr, key = words
     for row, i in enumerate(indices):
         key[1] = i
-        bitgen.state = state
+        if words is None:
+            bitgen.state = state
+        else:
+            # Higher counter words stay 0: word 0 would have to wrap 2^64 times.
+            ctr[0] = 0
+            c_state.buffer_pos = 4
         # z before u, per row, as in draw_contaminated.
         gen.standard_normal(out=z[row])
         if u is not None:
@@ -304,9 +367,10 @@ def run_simulation(config: SimulationConfig, workers: int = 1) -> SimulationBatc
     Experiment i always uses ``derive_substream(master_seed, i)``: its first
     n_per_arm draws, shifted by the true effect, are arm X and the rest are
     arm Y, so the batch depends only on the config. ``workers`` is accepted
-    for compatibility and ignored: each chunk is drawn by re-keying one
-    Philox per row and reduced by vectorised numpy calls, and that re-keying
-    loop is the remaining per-experiment Python work, which holds the GIL.
+    for compatibility and ignored: each chunk is drawn by ``draw_rows``,
+    which re-keys one Philox per row with three stores into its C state, and
+    reduced by vectorised numpy calls. That per-row loop is the remaining
+    per-experiment Python work, and it holds the GIL.
     """
     n = config.n_per_arm
     d = np.empty(config.runs)
@@ -363,12 +427,39 @@ def tabulate_sign_agreement(pairs: np.ndarray) -> SignAgreementTable:
     return SignAgreementTable(mm=mm, mp=mp, pm=pm, pp=pp)
 
 
+def _quartiles(ds: np.ndarray) -> list[float]:
+    """q1, median and q3 of a non-empty ``ds``, bit-identical to
+    ``np.percentile(ds, [25, 50, 75])``, whose ``np.unique`` imports numpy.ma.
+
+    These are the steps of numpy's default ``linear`` method: virtual index
+    (n - 1)q, its floor and the next index (both -1 from n - 1 on), one
+    partition on numpy's own kth set, and ``_lerp``'s two-branch blend. A NaN
+    sorts last, and then numpy returns it for every quartile.
+    """
+    n = ds.size
+    picks = []
+    for q in (0.25, 0.5, 0.75):
+        vi = (n - 1) * q
+        lo = -1 if vi >= n - 1 else math.floor(vi)
+        picks.append((vi - lo, lo, -1 if lo == -1 else lo + 1))
+    part = np.partition(ds, sorted({0, -1, *(i for _, lo, hi in picks for i in (lo, hi))}))
+    if math.isnan(part[-1]):
+        return [float(part[-1])] * 3
+    quartiles = []
+    for gamma, lo, hi in picks:
+        a, b = float(part[lo]), float(part[hi])
+        diff = b - a
+        quartiles.append(a + diff * gamma if gamma < 0.5 else b - diff * (1 - gamma))
+    return quartiles
+
+
 def boxplot_summary(batch: SimulationBatch) -> BoxplotStats:
     """Tukey summary of a batch's d, emitted as data for external plotting."""
     ds = batch.d
     if not ds.size:
         raise InsufficientDataError("cannot summarize an empty batch")
-    q1, med, q3 = np.percentile(ds, [25.0, 50.0, 75.0])
+    # _quartiles' partition copy (8 B a run) is freed before the fence masks.
+    q1, med, q3 = _quartiles(ds)
     iqr = q3 - q1
     lo_fence = q1 - 1.5 * iqr
     hi_fence = q3 + 1.5 * iqr

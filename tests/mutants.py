@@ -61,6 +61,20 @@ MUTANTS = [
         ("tests/test_simulation.py::test_pairing_is_a_perfect_matching",),
     ),
     Mutant(
+        "row-counter-not-reset",
+        "src/replikit/simulation.py",
+        "            ctr[0] = 0\n",
+        "",
+        ("tests/test_stats_core.py::test_draw_rows_match_the_single_stream_kernels",),
+    ),
+    Mutant(
+        "row-buffer-not-emptied",
+        "src/replikit/simulation.py",
+        "            c_state.buffer_pos = 4\n",
+        "",
+        ("tests/test_stats_core.py::test_draw_rows_match_the_single_stream_kernels",),
+    ),
+    Mutant(
         "normal-quantile-in-pi",
         "src/replikit/prediction.py",
         "    tq = t_quantile((1.0 + level) / 2.0, df)\n",

@@ -83,6 +83,7 @@ def test_commands_that_draw_nothing_do_not_load_numpy(body, modules, tmp_path):
 def test_simulate_loads_numpy(tmp_path):
     loaded = modules_after(run_main(["simulate", "--runs", "2"]), tmp_path)
     assert "numpy" in loaded
+    assert "numpy.ma" not in loaded  # which np.percentile loads through np.unique
     assert not loaded & {"replikit.meta", "replikit.prediction", "replikit.svg"}
 
 

@@ -35,6 +35,7 @@ from replikit.effect_size import classify
 from replikit.simulation import (
     MAX_N_PER_ARM,
     SimulationBatch,
+    _quartiles,
     boxplot_summary,
     derive_substream,
     draw_contaminated,
@@ -457,6 +458,17 @@ def test_boxplot_flags_outliers():
     assert stats.n_outliers == 1
     assert stats.max == 100.0
     assert stats.whisker_high == 5.0
+
+
+def test_quartiles_are_the_bits_of_np_percentile():
+    rng = np.random.default_rng(30)
+    arrays = [rng.standard_normal(n) for n in range(1, 61)]
+    arrays += [rng.integers(-2, 3, n).astype(float) for n in range(1, 61)]
+    arrays += [rng.choice([0.0, -0.0, 1.0], n) for n in range(1, 61)]
+    arrays += [rng.standard_normal(20_000), np.array([1.0, np.nan, -2.0])]
+    for a in arrays:
+        got, expected = np.array(_quartiles(a)), np.percentile(a, [25.0, 50.0, 75.0])
+        assert got.view(np.uint64).tolist() == expected.view(np.uint64).tolist(), a
 
 
 def test_boxplot_rejects_empty():

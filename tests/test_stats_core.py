@@ -30,7 +30,7 @@ from replikit import (
     normal_quantile,
     t_quantile,
 )
-from replikit import stats_core
+from replikit import simulation, stats_core
 from replikit.simulation import (
     RandomStream,
     derive_substream,
@@ -114,14 +114,27 @@ def test_streams_read_no_os_entropy(monkeypatch):
     draw_rows(1, range(3), 4, ContaminationSpec())
 
 
+@pytest.mark.parametrize("guard", ["passes", "declines"])
 @pytest.mark.parametrize(
     "spec",
     [None, ContaminationSpec(0.1, 10.0), ContaminationSpec(0.0, 10.0), ContaminationSpec(1.0, 3.0)],
 )
 @pytest.mark.parametrize("indices", [range(0, 5), range(2**64 - 3, 2**64), range(40, 10, -7)])
-def test_draw_rows_match_the_single_stream_kernels(spec, indices):
+def test_draw_rows_match_the_single_stream_kernels(spec, indices, guard, monkeypatch):
+    # Both ways of re-keying a row: stores into the checked C state, and the
+    # state setter that runs where numpy's struct layout differs.
+    check = simulation._philox_words
+    verdicts = []
+
+    def forced(bitgen, seed, index):
+        words = check(bitgen, seed, index)
+        verdicts.append(words is not None)
+        return words if guard == "passes" else None
+
+    monkeypatch.setattr(simulation, "_philox_words", forced)
     n = 37
     z = draw_rows(9, indices, n, spec)
+    assert verdicts == [True]
     assert z.shape == (len(indices), n)
     for row, i in enumerate(indices):
         gen = freshly_keyed(9, i)
